@@ -30,7 +30,6 @@ from .games import (
     canonical,
     eval_constraint,
     is_legal_move,
-    legal_moves,
     ruleset_from_json,
     ruleset_to_json,
 )
@@ -225,13 +224,15 @@ def _explain_illegal(rules: RuleSet, pos: Position, k: int, l: int) -> str:
 
 
 def choose_engine_move(rules: RuleSet, pos: Position, pset) -> Position:
-    """Winning move into the P-set when one exists, else a stalling move.
+    """Least legal move into the P-set when one exists, else a stalling move.
 
-    The stalling move takes one token from the larger pile, which keeps
-    transcripts deterministic and prolongs play.
+    Only P-positions with y <= pos.y can be reached, so those are tested one
+    by one instead of enumerating every legal move.  The stalling move takes
+    one token from the larger pile, which keeps transcripts deterministic and
+    prolongs play.
     """
-    for move in sorted(legal_moves(rules, pos)):
-        if move in pset:
+    for move in sorted(pset):
+        if move.y <= pos.y and is_legal_move(rules, pos, move):
             return move
     return canonical(pos.x, pos.y - 1)
 

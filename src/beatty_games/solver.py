@@ -1,4 +1,4 @@
-"""P-position generation, the brute-force retrograde oracle, and table tooling.
+"""P-position generation, the exact retrograde oracle, and table tooling.
 
 Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
 
@@ -11,8 +11,14 @@ Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
 * solve_relaxed      — the closed formula again, valid for relaxed Wythoff
   whenever f >= 0 and f evaluates to >= 1 at the first step.
 
-The retrograde oracle is the independent ground truth: it labels the whole
-board by backward induction over token count and never looks at a recurrence.
+The retrograde oracle is the independent ground truth and never looks at a
+recurrence.  Every move from a canonical (x, y) lands in a lower row or
+lower in row x, so it labels the board row by row: each earlier P-pair, in
+each orientation, excludes one y-interval of the row, and the row's
+P-position is the least unused y >= x outside those intervals.  That is
+O(bound * #P) constraint evaluations and O(#P) memory; the keys it
+evaluates, which a strict ExplicitTable must hold, are (d1, d2, x) with
+d1 < x <= bound and d2 < bound.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import csv
 import io
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
@@ -206,12 +213,25 @@ def solve_relaxed(constraint: ConstraintSpec, count: int) -> PTable:
 
 
 def retrograde_oracle(rules: RuleSet, bound: int) -> Set[Position]:
-    """Exact P-positions with y <= bound, by backward induction on token count.
+    """Exact P-positions with y <= bound, labelled row by row.
 
-    All moves shrink the total, so positions of equal sum are independent and
-    the truncation to the board is exact.  A position is N exactly when some
-    move reaches an already-labelled P-position; the scan keeps the P-set in
-    lookup maps so each position costs O(#P-pairs) in the worst case.
+    Every move from a canonical (x, y) lands in a row below x, or in row x at
+    a smaller y: a diagonal destination (d1, d2) has min(d1, d2) <= d1 < x,
+    and a Nim move shortens one pile.  So rows x = 0..bound are labelled in
+    order.  A row holds at most one P-position, since a Nim move along the
+    row reaches it, and none when x already belongs to an earlier P-pair.
+
+    f = f(d1, d2, x) does not depend on y, so an earlier pair in orientation
+    (d1, d2) with d1 < x is reached diagonally from the y of one interval,
+    with c = x - d1 + d2: [max(d2+1, c-f+1), c+f-1] in the modified game,
+    [d2+1, c+f-1] in relaxed Wythoff (none when f is None).  The row's
+    P-position is the least y >= x outside every interval that no earlier
+    pair uses.  When that y exceeds the bound the P-position is omitted; no
+    position on the board can move to it, so the truncation is exact.
+
+    Cost: O(bound * #P) constraint evaluations and O(#P) memory.  The keys
+    evaluated are (d1, d2, x) with d1 < x <= bound and d2 < bound, each P-pair
+    in both orientations; a strict ExplicitTable must hold them.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -222,44 +242,41 @@ def retrograde_oracle(rules: RuleSet, bound: int) -> Set[Position]:
             f"(raise {MAX_ORACLE_BOUND_ENV} to override)"
         )
     relaxed = rules.family is Family.RELAXED
-    spec = rules.constraint
-    pset: Set[Position] = set()
-    plist: List[Position] = []
-    partner: Dict[int, int] = {}
-    larger_to_smaller: Dict[int, int] = {}
-
-    def diagonal_hits_p(x: int, y: int) -> bool:
-        for a, b in plist:
-            for d1, d2 in ((a, b), (b, a)):
-                if d1 > x - 1 or d2 > y - 1:
-                    continue
-                f = eval_constraint(spec, d1, d2, x)
-                if f is None:
-                    continue
-                diff = (y - d2) - (x - d1)
-                if (diff < f) if relaxed else (abs(diff) < f):
-                    return True
-        return False
-
-    for total in range(0, 2 * bound + 1):
-        for x in range(max(0, total - bound), total // 2 + 1):
-            y = total - x
-            if total > 0:
-                # Nim move keeping the x-pile: needs a pair containing x below y
-                if x in partner and partner[x] < y:
-                    continue
-                # Nim move keeping the y-pile: needs a pair with larger element y
-                if y in larger_to_smaller and larger_to_smaller[y] < x:
-                    continue
-                if diagonal_hits_p(x, y):
-                    continue
-            pos = Position(x, y)
-            pset.add(pos)
-            plist.append(pos)
-            partner[x] = y
-            partner[y] = x
-            larger_to_smaller[y] = x
-    return pset
+    value = rules.constraint.value
+    smaller: Dict[int, int] = {}  # larger element -> smaller element, per P-pair
+    # Orientations (d1, d2) of the P-pairs that the current row can reach:
+    # (a, b) from row a + 1 on, unless b = bound (reached only from y > bound);
+    # (b, a) from row b + 1 on.
+    dests: List[Tuple[int, int]] = []
+    for x in range(bound + 1):
+        a = smaller.get(x)
+        if a is not None:  # row x moves to (a, x): no P-position in it
+            dests.append((x, a))
+            continue
+        intervals: List[Tuple[int, int]] = []
+        for d1, d2 in dests:
+            f = value(d1, d2, x)
+            if f is not None:
+                c = x - d1 + d2
+                lo = d2 + 1 if relaxed or c - f < d2 else c - f + 1
+                hi = c + f - 1
+                if lo <= hi and x <= hi:
+                    intervals.append((lo, hi))
+        merged = _merge(intervals)
+        y = x
+        while True:
+            i = bisect_right(merged, (y + 1,)) - 1
+            if i >= 0 and y <= merged[i][1]:
+                y = merged[i][1] + 1
+            elif y in smaller:
+                y += 1
+            else:
+                break
+        if y <= bound:
+            smaller[y] = x
+            if y < bound:
+                dests.append((x, y))
+    return {Position(a, b) for b, a in smaller.items()}
 
 
 def compare_tables(t1: PTable, t2: PTable) -> Optional[int]:

@@ -255,6 +255,9 @@ class TestPlay:
                         break
                     engine = choose_engine_move(rules, pos, pset)
                     assert is_legal_move(rules, pos, engine), (rules, pos, engine)
+                    winning = legal_moves(rules, pos) & pset
+                    if winning:
+                        assert engine == min(winning), (rules, pos, engine)
                     pos = engine
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from beatty_games.games import (
@@ -9,6 +11,7 @@ from beatty_games.games import (
     Position,
     RuleSet,
     TargetBeatty,
+    legal_moves,
 )
 from beatty_games.quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
 from beatty_games.solver import (
@@ -39,6 +42,30 @@ SQRT2 = QuadraticNumber.sqrt(2)
 TABLE_A55_P = ((0, 0), (1, 3), (2, 6), (4, 5), (7, 13), (8, 16), (9, 19), (10, 15), (11, 23), (12, 26))
 TABLE_A55_BEATTY = ((0, 0), (1, 3), (2, 6), (4, 9), (5, 12), (7, 16), (8, 19), (10, 22), (11, 25), (13, 29))
 TABLE_A19 = ((0, 0), (1, 3), (2, 7), (4, 11), (5, 15), (6, 18), (8, 22), (9, 26), (10, 30), (12, 34))
+
+
+def naive_p_positions(rules, bound):
+    """Reference oracle: plain backward search over legal_moves by token count."""
+    pset = set()
+    for total in range(2 * bound + 1):
+        for x in range(max(0, total - bound), total // 2 + 1):
+            pos = Position(x, total - x)
+            if pset.isdisjoint(legal_moves(rules, pos)):
+                pset.add(pos)
+    return pset
+
+
+def random_table(rng, bound, origin_only):
+    """Keys (x1, y1, x0) with x1 < x0 <= bound and y1 <= bound, values in
+    [-2, 6], one per x0 when origin_only; about a tenth of the keys missing."""
+    values = {}
+    for x0 in range(1, bound + 1):
+        g = rng.randint(-2, 6)
+        for x1 in range(x0):
+            for y1 in range(bound + 1):
+                if rng.random() >= 0.1:
+                    values[(x1, y1, x0)] = g if origin_only else rng.randint(-2, 6)
+    return ExplicitTable(values)
 
 
 def beatty_table(alpha, count):
@@ -180,6 +207,43 @@ class TestOracle:
             table = solve_relaxed(spec, 80)
             expect = {Position(a, b) for a, b in table.pairs if b <= bound}
             assert truth == expect, f"relaxed oracle mismatch for {spec}"
+
+    def test_equals_naive_search(self):
+        specs = [Constant(t) for t in (1, 2, 3)] + [ParityHalf()]
+        specs += [BeattyDelta(a) for a in (A55, A19, PHI, SQRT2)]
+        specs += [TargetBeatty(a) for a in (A55, A19, PHI, SQRT2)]
+        for family in Family:
+            for spec in specs:
+                rules = RuleSet(family, spec)
+                assert retrograde_oracle(rules, 20) == naive_p_positions(rules, 20), rules
+
+    def test_random_tables_equal_naive_search(self):
+        rng = random.Random(20220801)
+        for _ in range(24):
+            bound = rng.randint(1, 24)
+            spec = random_table(rng, bound, origin_only=rng.random() < 0.5)
+            for family in Family:
+                rules = RuleSet(family, spec)
+                assert retrograde_oracle(rules, bound) == naive_p_positions(rules, bound), (
+                    family, bound)
+
+    def test_no_diagonal_moves_leaves_the_diagonal(self):
+        for family in Family:
+            rules = RuleSet(family, ExplicitTable({}))
+            pset = retrograde_oracle(rules, 15)
+            assert pset == {Position(x, x) for x in range(16)}
+            assert pset == naive_p_positions(rules, 15)
+
+    def test_truncation_of_a_larger_board(self):
+        specs = [Constant(2), ParityHalf(), BeattyDelta(A55), TargetBeatty(PHI),
+                 random_table(random.Random(5), 60, origin_only=False)]
+        for family in Family:
+            for spec in specs:
+                rules = RuleSet(family, spec)
+                for bound in (7, 19, 30):
+                    wide = retrograde_oracle(rules, 2 * bound)
+                    assert retrograde_oracle(rules, bound) == {p for p in wide if p.y <= bound}, (
+                        rules, bound)
 
 
 class TestCompareTables:
