@@ -269,17 +269,25 @@ def constraint_to_dict(spec: ConstraintSpec) -> dict:
 
 
 def constraint_from_dict(data: dict) -> ConstraintSpec:
+    """Inverse of constraint_to_dict; any malformed input raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a constraint must be a JSON object, got {data!r}")
     kind = data.get("kind")
-    if kind not in _CONSTRAINT_KINDS:
+    if not isinstance(kind, str) or kind not in _CONSTRAINT_KINDS:
         raise ValueError(f"unknown constraint kind: {kind!r}")
-    if kind == "constant":
-        return Constant(int(data["t"]))
-    if kind in ("beatty", "target_beatty"):
-        alpha = QuadraticNumber.from_string(data["alpha"])
-        return _CONSTRAINT_KINDS[kind](alpha)
-    if kind == "parity_half":
-        return ParityHalf()
-    entries = {(int(a), int(b), int(c)): int(v) for a, b, c, v in data["entries"]}
+    try:
+        if kind == "constant":
+            return Constant(int(data["t"]))
+        if kind in ("beatty", "target_beatty"):
+            if not isinstance(data["alpha"], str):
+                raise TypeError("alpha must be a string")
+            alpha = QuadraticNumber.from_string(data["alpha"])
+            return _CONSTRAINT_KINDS[kind](alpha)
+        if kind == "parity_half":
+            return ParityHalf()
+        entries = {(int(a), int(b), int(c)): int(v) for a, b, c, v in data["entries"]}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} constraint: {exc}") from exc
     return ExplicitTable(entries, strict=bool(data.get("strict", False)))
 
 
@@ -292,8 +300,11 @@ def ruleset_to_dict(rules: RuleSet) -> dict:
 
 
 def ruleset_from_dict(data: dict) -> RuleSet:
-    family = Family(data["family"])
-    return RuleSet(family, constraint_from_dict(data["constraint"]))
+    """Inverse of ruleset_to_dict; any malformed input raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a ruleset must be a JSON object, got {data!r}")
+    family = Family(data.get("family"))
+    return RuleSet(family, constraint_from_dict(data.get("constraint")))
 
 
 def ruleset_to_json(rules: RuleSet) -> str:

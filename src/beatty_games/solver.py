@@ -5,29 +5,34 @@ Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
 * recurrence_closed  — b_n = f(a_{n-1}, b_{n-1}, a_n) + b_{n-1} + a_n - a_{n-1},
   the closed formula that is only guaranteed when consecutive exclusion
   intervals leave no gaps (2*min f - max f >= 1).
-* solve_doublemex    — b_n = least b >= a_n avoiding every prior b_k and every
-  interval |(b-b_k)-(a_n-a_k)| < f(a_k,b_k,a_n); always the true P-positions
-  of the modified game.
+* solve_doublemex    — the true P-positions of the modified game: b_n is the
+  least b >= a_n distinct from every prior b_k and outside one interval per
+  prior pair in each orientation (d1, d2) with d1 < a_n, namely
+  [max(d2+1, c-f+1), c+f-1] with c = a_n - d1 + d2 and f = f(d1, d2, a_n).
+  That is the oracle's row rule run for `count` pairs: O(count^2)
+  evaluations in general, one per pair and near-linear time when the
+  constraint is origin_only.
 * solve_relaxed      — the closed formula again, valid for relaxed Wythoff
   whenever f >= 0 and f evaluates to >= 1 at the first step.
 
-The retrograde oracle is the independent ground truth and never looks at a
-recurrence.  Every move from a canonical (x, y) lands in a lower row or
-lower in row x, so it labels the board row by row: each earlier P-pair, in
-each orientation, excludes one y-interval of the row, and the row's
-P-position is the least unused y >= x outside those intervals.  That is
-O(bound * #P) constraint evaluations and O(#P) memory; the keys it
-evaluates, which a strict ExplicitTable must hold, are (d1, d2, x) with
-d1 < x <= bound and d2 < bound.
+The retrograde oracle never looks at a recurrence.  Every move from a
+canonical (x, y) lands in a lower row or lower in row x, so it labels the
+board row by row: each earlier P-pair, in each orientation, excludes one
+y-interval of the row, and the row's P-position is the least unused y >= x
+outside those intervals.  That is O(bound * #P) constraint evaluations and
+O(#P) memory; the keys it evaluates, which a strict ExplicitTable must hold,
+are (d1, d2, x) with d1 < x <= bound and d2 < bound.  The oracle and the
+general double-mex path share that row sweep; the tests hold both to a naive
+search over legal_moves.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
@@ -133,56 +138,101 @@ def recurrence_closed(constraint: ConstraintSpec, count: int) -> PTable:
     return PTable(tuple(pairs), TableSource.CLOSED_RECURRENCE)
 
 
-def _merge(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    intervals.sort()
-    out: List[Tuple[int, int]] = []
-    for lo, hi in intervals:
-        if out and lo <= out[-1][1] + 1:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
 def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     """True P-positions of the modified game, by the double-mex construction.
 
-    Each prior pair (a_k, b_k) excludes the interval of radius f-1 around
-    a_n + b_k - a_k (with f = f(a_k, b_k, a_n)); b_n is the least b >= a_n
-    outside every interval and distinct from every prior b_k.  Undefined
-    constraint values disallow the diagonal, i.e. contribute no interval.
+    a_n is the mex of the values used so far.  Each prior pair, in each
+    orientation (d1, d2) with d1 < a_n, is reached diagonally from the b of
+    one interval, with f = f(d1, d2, a_n) and c = a_n - d1 + d2:
+    [max(d2+1, c-f+1), c+f-1] (none when f is None).  b_n is the least
+    b >= a_n outside every interval and distinct from every prior b_k.  This
+    is retrograde_oracle's row rule run for `count` pairs instead of up to a
+    bound, at O(count) evaluations per pair.
+
+    When the constraint is origin_only, f = f(a_n) is evaluated once per pair
+    and the search runs in d = b - a_n.  Pair (0, 0) already covers
+    [0, f-1], which holds every swapped interval.  Once a_n - a_k >= f, pair
+    k's interval is the fixed [e_k-f+1, e_k+f-1] with e_k = b_k - a_k; those
+    enter a union-find "next uncovered d" per value of f, and only the fewer
+    than f younger pairs and the used b's are checked one by one.  The cost
+    is near-linear in `count` for Constant and BeattyDelta.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if constraint.origin_only:
+        pairs = _doublemex_origin_only(constraint.value, count)
+    else:
+        pairs = tuple(itertools.islice(_label_rows(constraint.value, False), count))
+    return PTable(pairs, TableSource.DOUBLE_MEX)
+
+
+class _NextUncovered:
+    """Union-find over d >= 0: find(d) is the least uncovered d' >= d."""
+
+    def __init__(self):
+        self.parent: List[int] = []
+        self.matured = 0  # pairs k < matured have their intervals covered
+
+    def find(self, d: int) -> int:
+        parent = self.parent
+        root = d
+        while root < len(parent) and parent[root] != root:
+            root = parent[root]
+        while d < len(parent) and parent[d] != root:
+            parent[d], d = root, parent[d]
+        return root
+
+    def cover(self, lo: int, hi: int) -> None:
+        parent = self.parent
+        if hi >= len(parent):
+            parent.extend(range(len(parent), hi + 2))
+        d = self.find(lo)
+        while d <= hi:
+            parent[d] = d + 1
+            d = self.find(d + 1)
+
+
+def _doublemex_origin_only(value, count: int) -> Tuple[Tuple[int, int], ...]:
     pairs = [(0, 0)]
+    gaps = [0]  # e_k = b_k - a_k
     stream = _MexStream()
     stream.add(0)
-    b_used: Set[int] = set()
+    used = stream.used  # above a_n these are all prior b_k
+    covers: Dict[int, _NextUncovered] = {}
     for _ in range(1, count):
         a = stream.take()
-        intervals: List[Tuple[int, int]] = []
-        for a_k, b_k in pairs:
-            f = eval_constraint(constraint, a_k, b_k, a)
-            if f is not None and f >= 1:
-                center = a + b_k - a_k
-                intervals.append((center - (f - 1), center + (f - 1)))
-        merged = _merge(intervals)
-        b = a
-        moved = True
-        while moved:
-            moved = False
-            for lo, hi in merged:
-                if lo <= b <= hi:
-                    b = hi + 1
+        f = value(0, 0, a)
+        d = 0  # with no interval b = a_n, the mex, which no pair has used
+        if f is not None and f >= 1:
+            cover = covers.get(f)
+            if cover is None:
+                cover = covers[f] = _NextUncovered()
+            k = cover.matured
+            while k < len(pairs) and a - pairs[k][0] >= f:
+                e = gaps[k]
+                cover.cover(max(0, e - f + 1), e + f - 1)
+                k += 1
+            cover.matured = k
+            young = [
+                (max(0, gaps[j] + 1 - (a - pairs[j][0])), gaps[j] + f - 1)
+                for j in range(k, len(pairs))
+            ]
+            moved = True
+            while moved:
+                d = cover.find(d)
+                moved = False
+                for lo, hi in young:
+                    if lo <= d <= hi:
+                        d = hi + 1
+                        moved = True
+                if a + d in used:
+                    d += 1
                     moved = True
-            while b in b_used:
-                b += 1
-                moved = True
+        b = a + d
         pairs.append((a, b))
-        b_used.add(b)
+        gaps.append(d)
         stream.add(b)
-    return PTable(tuple(pairs), TableSource.DOUBLE_MEX)
+    return tuple(pairs)
 
 
 def solve_relaxed(constraint: ConstraintSpec, count: int) -> PTable:
@@ -242,13 +292,21 @@ def retrograde_oracle(rules: RuleSet, bound: int) -> Set[Position]:
             f"(raise {MAX_ORACLE_BOUND_ENV} to override)"
         )
     relaxed = rules.family is Family.RELAXED
-    value = rules.constraint.value
+    return {Position(x, y) for x, y in _label_rows(rules.constraint.value, relaxed, bound)}
+
+
+def _label_rows(value, relaxed: bool, bound: Optional[int] = None):
+    """Yield the P-pairs (x, y) in row order, by retrograde_oracle's rule.
+
+    With a bound, rows stop at x = bound and a P-position with y > bound is
+    not yielded; without one the rows go on for as long as they are drawn.
+    """
     smaller: Dict[int, int] = {}  # larger element -> smaller element, per P-pair
     # Orientations (d1, d2) of the P-pairs that the current row can reach:
     # (a, b) from row a + 1 on, unless b = bound (reached only from y > bound);
     # (b, a) from row b + 1 on.
     dests: List[Tuple[int, int]] = []
-    for x in range(bound + 1):
+    for x in itertools.count() if bound is None else range(bound + 1):
         a = smaller.get(x)
         if a is not None:  # row x moves to (a, x): no P-position in it
             dests.append((x, a))
@@ -258,25 +316,29 @@ def retrograde_oracle(rules: RuleSet, bound: int) -> Set[Position]:
             f = value(d1, d2, x)
             if f is not None:
                 c = x - d1 + d2
-                lo = d2 + 1 if relaxed or c - f < d2 else c - f + 1
                 hi = c + f - 1
-                if lo <= hi and x <= hi:
-                    intervals.append((lo, hi))
-        merged = _merge(intervals)
+                if hi >= x:
+                    lo = d2 + 1 if relaxed or c - f < d2 else c - f + 1
+                    if lo <= hi:
+                        intervals.append((lo, hi))
+        # Sweep the intervals by lower end; every y' in [x, y) is excluded.
+        intervals.sort()
         y = x
-        while True:
-            i = bisect_right(merged, (y + 1,)) - 1
-            if i >= 0 and y <= merged[i][1]:
-                y = merged[i][1] + 1
-            elif y in smaller:
+        for lo, hi in intervals:
+            while y < lo and y in smaller:
                 y += 1
-            else:
+            if y < lo:
                 break
-        if y <= bound:
+            if y <= hi:
+                y = hi + 1
+        else:
+            while y in smaller:
+                y += 1
+        if bound is None or y <= bound:
             smaller[y] = x
-            if y < bound:
+            if bound is None or y < bound:
                 dests.append((x, y))
-    return {Position(a, b) for b, a in smaller.items()}
+            yield x, y
 
 
 def compare_tables(t1: PTable, t2: PTable) -> Optional[int]:

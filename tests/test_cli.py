@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,7 @@ from beatty_games.solver import ptable_from_csv, ptable_from_json, retrograde_or
 
 A55_TEXT = "(5+1*sqrt(5))/5"
 PHI_TEXT = "(1+1*sqrt(5))/2"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv):
@@ -167,6 +169,19 @@ class TestFamilies:
         assert any(line.startswith("II,3,1,3,-3,1,1,19") for line in text.splitlines())
 
 
+def test_golden_outputs_are_byte_exact():
+    cases = {
+        "gen_beatty_a55.csv": ["gen", "--beatty", A55_TEXT, "--count", "10"],
+        "gen_beatty_a55_closed.csv": ["gen", "--beatty", A55_TEXT, "--count", "10", "--closed"],
+        "gen_parity_half_50.csv": ["gen", "--family", "modified", "--parity-half", "--count", "50"],
+        "inverse_a55.txt": ["inverse", "--alpha", A55_TEXT, "--count", "10"],
+    }
+    for name, argv in cases.items():
+        code, out = run(argv)
+        assert code == EXIT_OK, name
+        assert out.encode() == (GOLDEN / name).read_bytes(), name
+
+
 class TestRulesFile:
     def test_rules_json_input(self, tmp_path):
         path = tmp_path / "rules.json"
@@ -177,6 +192,21 @@ class TestRulesFile:
         }))
         code, out = run(["oracle", "--rules", str(path), "--bound", "10"])
         assert code == EXIT_OK and "3,5" in out
+
+    @pytest.mark.parametrize("data", [
+        {"family": "modified", "constraint": {"kind": "table", "entries": 5}},
+        [1, 2],
+        {"constraint": {"kind": "table", "entries": 5}},
+        {"family": "modified", "constraint": {"kind": ["table"]}},
+        {"family": "modified", "constraint": {"kind": "beatty", "alpha": 5}},
+        {"family": "modified", "constraint": {"kind": "constant"}},
+        {"family": "modified", "constraint": 7},
+    ])
+    def test_malformed_rules_exit_two(self, tmp_path, data):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(data))
+        code, _ = run(["gen", "--rules", str(path), "--count", "5"])
+        assert code == EXIT_PARSE
 
 
 class TestPlay:

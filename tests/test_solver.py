@@ -5,6 +5,7 @@ import pytest
 from beatty_games.games import (
     BeattyDelta,
     Constant,
+    ConstraintSpec,
     ExplicitTable,
     Family,
     ParityHalf,
@@ -68,6 +69,28 @@ def random_table(rng, bound, origin_only):
     return ExplicitTable(values)
 
 
+class FnConstraint(ConstraintSpec):
+    """Test-only constraint from any fn(x1, y1, x0), with origin_only as given."""
+
+    kind = "test_fn"
+
+    def __init__(self, fn, origin_only):
+        self.fn = fn
+        self.origin_only = origin_only
+
+    def value(self, x1, y1, x0):
+        return self.fn(x1, y1, x0)
+
+
+def random_origin_f(rng, count):
+    """f(x0) for every x0 < 2*count (a_n <= 2n - 1): values in a random
+    sub-range of [-1, 9], each missing (None) at a random rate up to 20%."""
+    lo = rng.randint(-1, 9)
+    hi = rng.randint(lo, 9)
+    miss = rng.choice((0.0, 0.05, 0.2))
+    return [None if rng.random() < miss else rng.randint(lo, hi) for _ in range(2 * count)]
+
+
 def beatty_table(alpha, count):
     beta = conjugate_beatty(alpha).beta
     pairs = tuple((beatty_floor(alpha, n), beatty_floor(beta, n)) for n in range(count))
@@ -127,6 +150,46 @@ class TestDoubleMex:
         # f == 0 everywhere: b_n = a_n is allowed
         table = solve_doublemex(ExplicitTable({}), 4)
         assert table.pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
+
+    def test_young_pair_interval_is_clipped(self):
+        # Origin-only f(1) = 5, f(2) = 3, then 1.  From (2, 5) the diagonal
+        # to (1, 6) needs pile B to grow, so (1, 6) does not exclude b = 5.
+        spec = FnConstraint(lambda x1, y1, x0: {1: 5, 2: 3}.get(x0, 1), origin_only=True)
+        pairs = ((0, 0), (1, 6), (2, 5), (3, 4), (7, 9), (8, 12))
+        assert solve_doublemex(spec, 6).pairs == pairs
+        naive = naive_p_positions(RuleSet(Family.MODIFIED, spec), 12)
+        assert {p for p in naive if p.x <= 8} == {Position(a, b) for a, b in pairs}
+
+    def test_swapped_orientation_counts(self):
+        # f = 1 except f(2, 1, 3) = 4: (3, 5) moves to the swapped pair (2, 1).
+        spec = FnConstraint(lambda x1, y1, x0: 4 if (x1, y1, x0) == (2, 1, 3) else 1,
+                            origin_only=False)
+        pairs = ((0, 0), (1, 2), (3, 6), (4, 8), (5, 7))
+        assert solve_doublemex(spec, 5).pairs == pairs
+        naive = naive_p_positions(RuleSet(Family.MODIFIED, spec), 8)
+        assert {p for p in naive if p.x <= 5} == {Position(a, b) for a, b in pairs}
+
+    def test_random_tables_equal_oracle(self):
+        rng = random.Random(20220802)
+        for _ in range(300):
+            bound = rng.randint(1, 24)
+            spec = random_table(rng, bound, origin_only=rng.random() < 0.5)
+            truth = retrograde_oracle(RuleSet(Family.MODIFIED, spec), bound)
+            table = solve_doublemex(spec, bound + 2)
+            assert {Position(a, b) for a, b in table.pairs if b <= bound} == truth, bound
+
+    def test_origin_only_path_equals_generic_path(self):
+        rng = random.Random(20220803)
+        fns = []
+        for _ in range(30):
+            f = random_origin_f(rng, 400)
+            fns.append(lambda x1, y1, x0, f=f: f[x0])
+        fns += [Constant(t).value for t in (1, 2, 3, 4, 7)]
+        fns += [BeattyDelta(a).value for a in (A55, A19, PHI, SQRT2)]
+        for fn in fns:
+            fast = solve_doublemex(FnConstraint(fn, origin_only=True), 400)
+            generic = solve_doublemex(FnConstraint(fn, origin_only=False), 400)
+            assert fast == generic
 
     def test_closed_equals_doublemex_when_inequality_holds(self):
         # 2*min f - max f >= 1 over visited values
