@@ -20,9 +20,9 @@ from typing import List, Optional, Tuple
 
 from .games import BeattyDelta, Family, RuleSet
 from .quadfield import (
+    BeattyPair,
     QuadraticNumber,
     conjugate_beatty,
-    fractional_part,
     solve_unit_combination,
 )
 
@@ -73,10 +73,12 @@ def delta2_range(alpha: QuadraticNumber) -> frozenset:
     floor(beta) drops out iff p*{beta} + q*(1-{alpha}) = 1 has a positive
     integer solution, floor(beta)-2 iff p*(1-{beta}) + q*{alpha} = 1 does.
     """
-    pair = conjugate_beatty(alpha)
+    return _delta2_range(conjugate_beatty(alpha))
+
+
+def _delta2_range(pair: BeattyPair) -> frozenset:
     bf = pair.beta.floor()
-    frac_a = fractional_part(pair.alpha)
-    frac_b = fractional_part(pair.beta)
+    frac_a, frac_b = pair.frac_alpha, pair.frac_beta
     values = {bf - 1}
     if solve_unit_combination(frac_b, 1 - frac_a) is None:
         values.add(bf)
@@ -92,11 +94,13 @@ def classify_alpha(alpha: QuadraticNumber) -> ClassificationResult:
     recorded in also_matches.  The family label agrees with the compatibility
     inequality 2*min - max >= 1 over the delta2 range by construction.
     """
-    pair = conjugate_beatty(alpha)
+    return _classify(conjugate_beatty(alpha))
+
+
+def _classify(pair: BeattyPair) -> ClassificationResult:
     bf = pair.beta.floor()
-    rng = delta2_range(alpha)
-    frac_a = fractional_part(pair.alpha)
-    frac_b = fractional_part(pair.beta)
+    rng = _delta2_range(pair)
+    frac_a, frac_b = pair.frac_alpha, pair.frac_beta
 
     diff = pair.beta - pair.alpha
     if diff.is_integer and diff.p >= 1:
@@ -171,7 +175,7 @@ def inverse_solve(alpha: QuadraticNumber) -> Tuple[RuleSet, BeattyDelta]:
     x0 = 1 is floor(beta) - 1 >= 1 and all values are >= floor(beta) - 2 >= 0).
     """
     constraint = BeattyDelta(alpha)
-    family = Family.MODIFIED if classify_alpha(alpha).compatible else Family.RELAXED
+    family = Family.MODIFIED if _classify(constraint.pair).compatible else Family.RELAXED
     return RuleSet(family, constraint), constraint
 
 

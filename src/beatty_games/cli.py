@@ -33,7 +33,7 @@ from .games import (
     ruleset_from_json,
     ruleset_to_json,
 )
-from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
+from .quadfield import QuadraticNumber, beatty_floor
 from .solver import (
     HypothesisError,
     PTable,
@@ -167,7 +167,7 @@ def _cmd_inverse(args, out) -> int:
         table = solve_doublemex(constraint, args.count)
     else:
         table = solve_relaxed(constraint, args.count)
-    beta = conjugate_beatty(alpha).beta
+    beta = constraint.pair.beta
     out.write(ruleset_to_json(rules) + "\n")
     out.write("n,a_n,b_n,floor_n_alpha,floor_n_beta\n")
     for n, (a, b) in enumerate(table.pairs):

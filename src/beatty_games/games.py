@@ -79,7 +79,8 @@ class BeattyDelta(ConstraintSpec):
 
     The value at x0 is delta2(alpha, n) where n = floor((x0+1)/alpha) counts
     the lower-sequence elements at or below x0; on every floor(n*alpha) this
-    is exactly the defining second difference.
+    is exactly the defining second difference.  `pair` is the slope's
+    `BeattyPair`, built once here.
     """
 
     alpha: QuadraticNumber
@@ -88,19 +89,15 @@ class BeattyDelta(ConstraintSpec):
     origin_only = True
 
     def __post_init__(self):
-        pair = conjugate_beatty(self.alpha)  # validates alpha
-        self._beta = pair.beta
-        self._inv_alpha = self.alpha.inv()
+        self.pair = conjugate_beatty(self.alpha)  # validates alpha
 
     def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
         if x0 < 1:
             raise ValueError("Beatty constraint undefined at x0 = 0")
         got = self._memo.get(x0)
         if got is None:
-            n = beatty_floor(self._inv_alpha, x0 + 1)
-            got = (beatty_floor(self._beta, n) - beatty_floor(self._beta, n - 1)) - (
-                beatty_floor(self.alpha, n) - beatty_floor(self.alpha, n - 1)
-            )
+            pair = self.pair
+            got = pair.delta2(beatty_floor(pair.inv_alpha, x0 + 1))
             self._memo[x0] = got
         return got
 
@@ -113,7 +110,8 @@ class TargetBeatty(ConstraintSpec):
     """Per-destination constraint (floor(n*beta)-y1) - (floor(n*alpha)-x1).
 
     Defined only when x0 = floor(n*alpha) for some n >= 1; from any other
-    origin the diagonal move is disallowed.
+    origin the diagonal move is disallowed.  `pair` is the slope's
+    `BeattyPair`, built once here.
     """
 
     alpha: QuadraticNumber
@@ -124,15 +122,13 @@ class TargetBeatty(ConstraintSpec):
     origin_only = False
 
     def __post_init__(self):
-        pair = conjugate_beatty(self.alpha)
-        self._beta = pair.beta
-        self._inv_alpha = self.alpha.inv()
+        self.pair = conjugate_beatty(self.alpha)  # validates alpha
 
     def _floors(self, x0: int) -> Optional[Tuple[int, int]]:
         if x0 not in self._memo:
-            n = beatty_floor(self._inv_alpha, x0 + 1)
+            n = beatty_floor(self.pair.inv_alpha, x0 + 1)
             if n >= 1 and beatty_floor(self.alpha, n) == x0:
-                self._memo[x0] = (x0, beatty_floor(self._beta, n))
+                self._memo[x0] = (x0, beatty_floor(self.pair.beta, n))
             else:
                 self._memo[x0] = None
         return self._memo[x0]

@@ -4,6 +4,20 @@ Every value is an exact (p + q*sqrt(D))/r with integer p, q, r > 0 and a
 square-free radicand D.  Floors, comparisons and sequence memberships are
 decided with integer square roots only — no floating point anywhere, because
 Beatty membership flips on knife-edge values that floats cannot represent.
+
+Outside input enters through the public `QuadraticNumber(p, q, r, D)`, which
+rejects D > MAX_RADICAND and then splits off the square part of D by trial
+division.  Arithmetic results are built by the private
+`QuadraticNumber._new`, which trusts that its D is the radicand of an
+existing instance, hence already square-free, and only normalizes sign and
+gcd.  Comparisons with an int, or with a value of the same field, decide the
+sign of a numerator without building the difference.
+
+`BeattyPair` is the per-slope object: `conjugate_beatty(alpha)` builds it
+once, with beta; 1/alpha, {alpha}, {beta} and the inverses of the last two
+are built on first use and kept.  `pair.delta2(n)` and `pair.trichotomy(n)`
+reuse them.  The public `delta2(alpha, n)` and `trichotomy_class(alpha, n)`
+build a new pair on every call, so loops over n should hold the pair.
 """
 
 from __future__ import annotations
@@ -11,9 +25,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Tuple
+
+
+# Trial division in _square_free takes at most sqrt(MAX_RADICAND) = 10**6 steps.
+MAX_RADICAND = 10**12
 
 
 def _square_free(d: int) -> Tuple[int, int]:
@@ -49,19 +68,26 @@ class QuadraticNumber:
             raise ZeroDivisionError("denominator r must be nonzero")
         if D < 1:
             raise ValueError(f"radicand must be positive, got {D}")
+        if D > MAX_RADICAND:
+            raise ValueError(f"radicand must be at most {MAX_RADICAND}, got {D}")
         s, d = _square_free(D)
         q *= s
         if d == 1:
             # sqrt(1) == 1: the value is rational
             p += q
             q = 0
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = gcd(gcd(abs(p), abs(q)), r)
-        object.__setattr__(self, "p", p // g)
-        object.__setattr__(self, "q", q // g)
-        object.__setattr__(self, "r", r // g)
-        object.__setattr__(self, "D", d)
+        _store(self, p, q, r, d)
+
+    @classmethod
+    def _new(cls, p: int, q: int, r: int, D: int) -> "QuadraticNumber":
+        """Value (p + q*sqrt(D))/r with sign and gcd normalization only.
+
+        D must be the radicand of an existing instance: it is neither checked
+        nor reduced, and q is not folded into p.  r must be nonzero.
+        """
+        self = object.__new__(cls)
+        _store(self, p, q, r, D)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QuadraticNumber is immutable")
@@ -116,18 +142,19 @@ class QuadraticNumber:
 
     def _pair(self, other) -> Optional[Tuple["QuadraticNumber", "QuadraticNumber"]]:
         """Coerce to a common field.  Rationals lift freely; true mixed-D raises."""
+        new = QuadraticNumber._new
         if isinstance(other, int):
-            other = QuadraticNumber(other, 0, 1, self.D)
+            other = new(other, 0, 1, self.D)
         elif isinstance(other, Fraction):
-            other = QuadraticNumber(other.numerator, 0, other.denominator, self.D)
+            other = new(other.numerator, 0, other.denominator, self.D)
         elif not isinstance(other, QuadraticNumber):
             return None
         a, b = self, other
         if a.D != b.D:
             if b.q == 0:
-                b = QuadraticNumber(b.p, 0, b.r, a.D)
+                b = new(b.p, 0, b.r, a.D)
             elif a.q == 0:
-                a = QuadraticNumber(a.p, 0, a.r, b.D)
+                a = new(a.p, 0, a.r, b.D)
             else:
                 raise ValueError(f"mismatched radicands: {a.D} vs {b.D}")
         return a, b
@@ -137,19 +164,23 @@ class QuadraticNumber:
         if pr is None:
             return NotImplemented
         a, b = pr
-        return QuadraticNumber(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.r * b.r, a.D)
+        return QuadraticNumber._new(
+            a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.r * b.r, a.D
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.p, -self.q, self.r, self.D)
+        return QuadraticNumber._new(-self.p, -self.q, self.r, self.D)
 
     def __sub__(self, other):
         pr = self._pair(other)
         if pr is None:
             return NotImplemented
         a, b = pr
-        return a + (-b)
+        return QuadraticNumber._new(
+            a.p * b.r - b.p * a.r, a.q * b.r - b.q * a.r, a.r * b.r, a.D
+        )
 
     def __rsub__(self, other):
         return -(self - other)
@@ -159,7 +190,7 @@ class QuadraticNumber:
         if pr is None:
             return NotImplemented
         a, b = pr
-        return QuadraticNumber(
+        return QuadraticNumber._new(
             a.p * b.p + a.q * b.q * a.D, a.p * b.q + a.q * b.p, a.r * b.r, a.D
         )
 
@@ -171,7 +202,7 @@ class QuadraticNumber:
             raise ZeroDivisionError("inverse of zero")
         den = self.p * self.p - self.q * self.q * self.D
         # den == 0 would force p*p == q*q*D with D square-free, i.e. p == q == 0
-        return QuadraticNumber(self.r * self.p, -self.r * self.q, den, self.D)
+        return QuadraticNumber._new(self.r * self.p, -self.r * self.q, den, self.D)
 
     def __truediv__(self, other):
         pr = self._pair(other)
@@ -189,25 +220,27 @@ class QuadraticNumber:
 
     def conjugate(self) -> "QuadraticNumber":
         """Field conjugate (p - q*sqrt(D))/r."""
-        return QuadraticNumber(self.p, -self.q, self.r, self.D)
+        return QuadraticNumber._new(self.p, -self.q, self.r, self.D)
 
     # -- order -----------------------------------------------------------------
 
     def sign(self) -> int:
         """Sign of the value, decided by exact integer reasoning."""
-        p, q = self.p, self.q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if (p > 0) == (q > 0):
-            return 1 if p > 0 else -1
-        # opposite signs: compare |p| against |q|*sqrt(D) by squaring
-        if p * p > q * q * self.D:
-            return 1 if p > 0 else -1
-        return 1 if q > 0 else -1
+        return _sign(self.p, self.q, self.D)
 
     def _cmp(self, other) -> int:
+        # Same field, or one side rational: the sign of the difference is the
+        # sign of its numerator over the positive r's, built from integers.
+        if isinstance(other, int):
+            return _sign(self.p - other * self.r, self.q, self.D)
+        if isinstance(other, QuadraticNumber) and (
+            self.D == other.D or self.q == 0 or other.q == 0
+        ):
+            return _sign(
+                self.p * other.r - other.p * self.r,
+                self.q * other.r - other.q * self.r,
+                self.D if self.q else other.D,
+            )
         diff = self - other
         if diff is NotImplemented:
             raise TypeError(f"cannot compare QuadraticNumber with {type(other)!r}")
@@ -226,8 +259,11 @@ class QuadraticNumber:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.q == 0 and Fraction(self.p, self.r) == other
+        # A rational value has gcd(p, r) = 1, the normal form of a Fraction.
+        if isinstance(other, int):
+            return self.q == 0 and self.r == 1 and self.p == other
+        if isinstance(other, Fraction):
+            return self.q == 0 and (self.p, self.r) == (other.numerator, other.denominator)
         if not isinstance(other, QuadraticNumber):
             return NotImplemented
         if self.q == 0 and other.q == 0:
@@ -259,6 +295,38 @@ class QuadraticNumber:
         return f"{sign}{v // scale}.{v % scale:0{digits}d}"
 
 
+_SET_P, _SET_Q, _SET_R, _SET_D = (
+    getattr(QuadraticNumber, name).__set__ for name in QuadraticNumber.__slots__
+)
+
+
+def _store(x: QuadraticNumber, p: int, q: int, r: int, D: int) -> None:
+    """Write (p + q*sqrt(D))/r into x's slots with r > 0 and gcd(p, q, r) = 1."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = gcd(p, q, r)
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    _SET_P(x, p)
+    _SET_Q(x, q)
+    _SET_R(x, r)
+    _SET_D(x, D)
+
+
+def _sign(p: int, q: int, D: int) -> int:
+    """Sign of p + q*sqrt(D) for square-free D (D is read only when p, q differ in sign)."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return (q > 0) - (q < 0)
+    if (p > 0) == (q > 0):
+        return 1 if p > 0 else -1
+    # opposite signs: compare |p| against |q|*sqrt(D) by squaring
+    if p * p > q * q * D:
+        return 1 if p > 0 else -1
+    return 1 if q > 0 else -1
+
+
 def _floor_mul_sqrt(t: int, D: int) -> int:
     """floor(t * sqrt(D)) for integer t.
 
@@ -276,67 +344,15 @@ def beatty_floor(alpha: QuadraticNumber, n: int) -> int:
     """Exact floor(n * alpha) for n >= 0."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    return (n * alpha.p + _floor_mul_sqrt(n * alpha.q, alpha.D)) // alpha.r
+    # _floor_mul_sqrt(t, alpha.D) inlined: this runs for every Beatty-row value
+    t = n * alpha.q
+    w = isqrt(t * t * alpha.D)
+    return (n * alpha.p + (w if t >= 0 else -w - 1)) // alpha.r
 
 
 def fractional_part(x: QuadraticNumber) -> QuadraticNumber:
     """x - floor(x), exact, in [0, 1)."""
     return x - x.floor()
-
-
-@dataclass(frozen=True)
-class BeattyPair:
-    """Slopes (alpha, beta) of a complementary Beatty pair: 1/alpha + 1/beta = 1."""
-
-    alpha: QuadraticNumber
-    beta: QuadraticNumber
-
-    def __post_init__(self):
-        a, b = self.alpha, self.beta
-        if a.q == 0:
-            raise ValueError("alpha must be irrational")
-        if not (1 < a < 2):
-            raise ValueError(f"alpha must lie in (1, 2), got {a}")
-        if not (2 < b):
-            raise ValueError(f"beta must exceed 2, got {b}")
-        if a.inv() + b.inv() != 1:
-            raise ValueError("1/alpha + 1/beta = 1 fails")
-
-
-def conjugate_beatty(alpha: QuadraticNumber) -> BeattyPair:
-    """Complete alpha in (1,2) to its complementary pair: beta = alpha/(alpha-1)."""
-    if alpha.q == 0:
-        raise ValueError("alpha must be irrational")
-    if not (1 < alpha < 2):
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    beta = alpha / (alpha - 1)
-    return BeattyPair(alpha, beta)
-
-
-def beatty_membership(gamma: QuadraticNumber, n: int) -> bool:
-    """True iff n appears in the sequence {floor(m * gamma) : m >= 0}.
-
-    Candidate-index test: the only m that can work is ceil(n / gamma), so one
-    exact floor confirms or refutes membership in O(1) big-integer work.
-    """
-    if gamma.q == 0 or not gamma > 1:
-        raise ValueError("gamma must be an irrational greater than 1")
-    if n < 0:
-        return False
-    if n == 0:
-        return True
-    m = beatty_floor(gamma.inv(), n) + 1  # ceil(n/gamma); n/gamma is irrational
-    return beatty_floor(gamma, m) == n
-
-
-def delta2(alpha: QuadraticNumber, n: int) -> int:
-    """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha))."""
-    if n < 1:
-        raise ValueError("delta2 is defined for n >= 1")
-    beta = conjugate_beatty(alpha).beta
-    return (beatty_floor(beta, n) - beatty_floor(beta, n - 1)) - (
-        beatty_floor(alpha, n) - beatty_floor(alpha, n - 1)
-    )
 
 
 class Trichotomy(Enum):
@@ -347,18 +363,122 @@ class Trichotomy(Enum):
     MINUS = -1
 
 
+@dataclass(frozen=True)
+class BeattyPair:
+    """Slopes (alpha, beta) of a complementary Beatty pair: 1/alpha + 1/beta = 1.
+
+    The per-slope object: the values derived from the pair are built on
+    first use and kept for the pair's lifetime.
+    """
+
+    alpha: QuadraticNumber
+    beta: QuadraticNumber
+
+    def __post_init__(self):
+        a, b = self.alpha, self.beta
+        if a.q == 0:
+            raise ValueError("alpha must be irrational")
+        if a.floor() != 1:  # 1 < a < 2, as a is irrational
+            raise ValueError(f"alpha must lie in (1, 2), got {a}")
+        if not (2 < b):
+            raise ValueError(f"beta must exceed 2, got {b}")
+        if a.inv() + b.inv() != 1:
+            raise ValueError("1/alpha + 1/beta = 1 fails")
+
+    @cached_property
+    def inv_alpha(self) -> QuadraticNumber:
+        """1/alpha; floor((x+1)/alpha) counts the floor(n*alpha) at or below x."""
+        return self.alpha.inv()
+
+    @cached_property
+    def frac_alpha(self) -> QuadraticNumber:
+        """{alpha} = alpha - 1."""
+        return self.alpha - 1
+
+    @cached_property
+    def frac_beta(self) -> QuadraticNumber:
+        """{beta}."""
+        return fractional_part(self.beta)
+
+    @cached_property
+    def _inv_frac_alpha(self) -> QuadraticNumber:
+        return self.frac_alpha.inv()
+
+    @cached_property
+    def _inv_frac_beta(self) -> QuadraticNumber:
+        return self.frac_beta.inv()
+
+    def delta2(self, n: int) -> int:
+        """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha))."""
+        if n < 1:
+            raise ValueError("delta2 is defined for n >= 1")
+        a, b = self.alpha, self.beta
+        return (beatty_floor(b, n) - beatty_floor(b, n - 1)) - (
+            beatty_floor(a, n) - beatty_floor(a, n - 1)
+        )
+
+    def trichotomy(self, n: int) -> Trichotomy:
+        """Classify n by membership in X = {floor(m/{alpha})} and Y = {floor(m/{beta})}.
+
+        delta2(n+1) always equals floor(beta) - 1 + d with d the value of the
+        returned class.
+        """
+        in_x = _member(self._inv_frac_alpha, self.frac_alpha, n)
+        in_y = _member(self._inv_frac_beta, self.frac_beta, n)
+        if in_x == in_y:
+            return Trichotomy.ZERO
+        return Trichotomy.PLUS if in_y else Trichotomy.MINUS
+
+
+def conjugate_beatty(alpha: QuadraticNumber) -> BeattyPair:
+    """Complete alpha in (1,2) to its complementary pair: beta = alpha/(alpha-1) = 1 + 1/(alpha-1).
+
+    BeattyPair validates alpha; the check here only keeps alpha - 1 nonzero.
+    """
+    if alpha.q == 0:
+        raise ValueError("alpha must be irrational")
+    return BeattyPair(alpha, (alpha - 1).inv() + 1)
+
+
+def _member(gamma: QuadraticNumber, inv_gamma: QuadraticNumber, n: int) -> bool:
+    """Membership of n in {floor(m * gamma)} for an irrational gamma > 1 with inverse inv_gamma."""
+    if n < 0:
+        return False
+    if n == 0:
+        return True
+    m = beatty_floor(inv_gamma, n) + 1  # ceil(n/gamma); n/gamma is irrational
+    return beatty_floor(gamma, m) == n
+
+
+def beatty_membership(gamma: QuadraticNumber, n: int) -> bool:
+    """True iff n appears in the sequence {floor(m * gamma) : m >= 0}.
+
+    Candidate-index test: the only m that can work is ceil(n / gamma), so one
+    exact floor confirms or refutes membership in O(1) big-integer work.
+    """
+    if gamma.q == 0 or not gamma > 1:
+        raise ValueError("gamma must be an irrational greater than 1")
+    return _member(gamma, gamma.inv(), n)
+
+
+def delta2(alpha: QuadraticNumber, n: int) -> int:
+    """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha)).
+
+    Builds the pair on every call; `conjugate_beatty(alpha).delta2(n)` reuses it.
+    """
+    if n < 1:
+        raise ValueError("delta2 is defined for n >= 1")
+    return conjugate_beatty(alpha).delta2(n)
+
+
 def trichotomy_class(alpha: QuadraticNumber, n: int) -> Trichotomy:
     """Classify n by membership in X = {floor(m/{alpha})} and Y = {floor(m/{beta})}.
 
     delta2(alpha, n+1) always equals floor(beta) - 1 + d with d the value of
-    the returned class.
+    the returned class.  Builds the pair on every call;
+    `conjugate_beatty(alpha).trichotomy(n)` reuses it.
     """
-    pair = conjugate_beatty(alpha)
-    in_x = beatty_membership(fractional_part(pair.alpha).inv(), n)
-    in_y = beatty_membership(fractional_part(pair.beta).inv(), n)
-    if in_x == in_y:
-        return Trichotomy.ZERO
-    return Trichotomy.PLUS if in_y else Trichotomy.MINUS
+    return conjugate_beatty(alpha).trichotomy(n)
 
 
 def rayleigh_verify(pair: BeattyPair, limit: int) -> bool:

@@ -45,7 +45,7 @@ from .games import (
     RuleSet,
     eval_constraint,
 )
-from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty, delta2
+from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
 
 MAX_ORACLE_BOUND_ENV = "BEATTY_GAMES_MAX_ORACLE_BOUND"
 _DEFAULT_MAX_ORACLE_BOUND = 4096
@@ -371,10 +371,10 @@ def detect_gap(alpha: QuadraticNumber, horizon: int) -> List[GapReport]:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    beta = conjugate_beatty(alpha).beta
+    pair = conjugate_beatty(alpha)
     a = [beatty_floor(alpha, n) for n in range(horizon + 1)]
-    b = [beatty_floor(beta, n) for n in range(horizon + 1)]
-    f = [0] + [delta2(alpha, n) for n in range(1, horizon + 1)]
+    b = [beatty_floor(pair.beta, n) for n in range(horizon + 1)]
+    f = [0] + [pair.delta2(n) for n in range(1, horizon + 1)]
     reports: List[GapReport] = []
     for n in range(2, horizon + 1):
         fn = f[n]
@@ -404,14 +404,14 @@ CSV_COLUMNS = ["n", "a_n", "b_n", "floor_n_alpha", "floor_n_beta", "delta2"]
 
 
 def _beatty_columns(alpha: QuadraticNumber, count: int):
-    beta = conjugate_beatty(alpha).beta
+    pair = conjugate_beatty(alpha)
     rows = []
     for n in range(count):
         rows.append(
             (
                 beatty_floor(alpha, n),
-                beatty_floor(beta, n),
-                delta2(alpha, n) if n >= 1 else None,
+                beatty_floor(pair.beta, n),
+                pair.delta2(n) if n >= 1 else None,
             )
         )
     return rows

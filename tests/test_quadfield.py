@@ -1,10 +1,15 @@
-import pytest
+import operator
+import random
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv, mpf
 
+from beatty_games.classifier import enumerate_families
 from beatty_games.quadfield import (
+    MAX_RADICAND,
     BeattyPair,
     QuadraticNumber,
     Trichotomy,
@@ -43,6 +48,76 @@ quads = st.builds(
     st.integers(1, 20),
     nonsquare,
 )
+
+
+# Operands an arithmetic result may come from: values of the quads' fields,
+# ints, Fractions and rationals carried in another radicand.
+rationals_elsewhere = st.builds(
+    QuadraticNumber.rational, st.integers(-40, 40), st.integers(1, 20), st.sampled_from([3, 7, 14])
+)
+operands = st.one_of(
+    quads,
+    st.integers(-30, 30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    rationals_elsewhere,
+)
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def mixed_irrational(x, y) -> bool:
+    return isinstance(y, QuadraticNumber) and x.q != 0 and y.q != 0 and x.D != y.D
+
+
+def assert_normal(x):
+    assert isinstance(x, QuadraticNumber)
+    assert x.r > 0 and gcd(x.p, x.q, x.r) == 1
+    again = QuadraticNumber(x.p, x.q, x.r, x.D)
+    assert (x.p, x.q, x.r, x.D) == (again.p, again.q, again.r, again.D)
+
+
+class TestKernel:
+    """Results built without re-normalizing D still have the public normal form."""
+
+    @given(quads, operands)
+    def test_results_are_normalized(self, x, y):
+        assume(not mixed_irrational(x, y))
+        results = [-x, x.conjugate(), x + y, y + x, x - y, y - x, x * y, y * x]
+        if x != 0:
+            results += [x.inv(), y / x]
+        if y != 0:
+            results.append(x / y)
+        for got in results:
+            assert_normal(got)
+
+    @given(quads, operands)
+    @example(PHI, 2)
+    @example(QuadraticNumber.sqrt(5), QuadraticNumber.rational(2, 1, D=2))  # sqrt2 < 2 < sqrt5
+    def test_order_agrees_with_sign_of_difference(self, x, y):
+        assume(not mixed_irrational(x, y))
+        s = (x - y).sign()
+        for op in ORDER:
+            assert op(x, y) == op(s, 0)
+            assert op(y, x) == op(0, s)
+
+    @given(quads, quads)
+    def test_mixed_irrational_radicands_raise(self, x, y):
+        assume(mixed_irrational(x, y))
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv) + ORDER:
+            with pytest.raises(ValueError, match="mismatched radicands"):
+                op(x, y)
+
+    def test_non_numbers_do_not_compare(self):
+        for op in ORDER:
+            with pytest.raises(TypeError):
+                op(PHI, "1")
+
+    def test_radicand_cap(self):
+        big = QuadraticNumber(0, 1, 1, MAX_RADICAND - 11)  # prime: the longest trial division
+        assert big.D == MAX_RADICAND - 11
+        with pytest.raises(ValueError, match="radicand must be at most"):
+            QuadraticNumber(0, 1, 1, MAX_RADICAND + 1)
+        with pytest.raises(ValueError, match="radicand must be at most"):
+            QuadraticNumber.from_string("(3+1*sqrt(12345678901234567891))/2")
 
 
 class TestArithmetic:
@@ -318,3 +393,78 @@ class TestUnitCombination:
     def test_singular_system_has_no_solution(self):
         x = fractional_part(PHI)
         assert solve_unit_combination(x, 2 * x) is None
+
+
+def _criterion_10_slopes(k):
+    """Seeded slopes (p + q*sqrt(d))/r in (1, 2), drawn as criterion 10 draws them."""
+    rng = random.Random(20250811)
+    nonsquares = [d for d in range(2, 51) if QuadraticNumber.sqrt(d).q != 0]
+    out = []
+    while len(out) < k:
+        alpha = QuadraticNumber(
+            rng.randint(-30, 30),
+            rng.choice([q for q in range(-8, 9) if q]),
+            rng.randint(1, 12),
+            rng.choice(nonsquares),
+        )
+        if alpha.q != 0 and 1 < alpha < 2 and alpha not in out:
+            out.append(alpha)
+    return out
+
+
+def _scan(gamma, top):
+    """{floor(m * gamma) : m >= 0} up to top, by direct enumeration."""
+    seen, m = set(), 0
+    while beatty_floor(gamma, m) <= top:
+        seen.add(beatty_floor(gamma, m))
+        m += 1
+    return seen
+
+
+class TestPerSlope:
+    """Public wrappers and BeattyPair methods against the definitions."""
+
+    TOP = 400
+
+    def test_matches_definitions(self):
+        box = [alpha for alpha, _ in enumerate_families(6, 6, 6)]
+        slopes = [PHI, A55, A19, QuadraticNumber.sqrt(2)] + box + _criterion_10_slopes(20)
+        for alpha in slopes:
+            beta = alpha / (alpha - 1)
+            floors = [(beatty_floor(alpha, n), beatty_floor(beta, n)) for n in range(self.TOP + 1)]
+            xs = _scan((alpha - alpha.floor()).inv(), self.TOP)
+            ys = _scan((beta - beta.floor()).inv(), self.TOP)
+            pair = conjugate_beatty(alpha)
+            for n in range(-2, self.TOP + 1):
+                if n in xs:
+                    want = Trichotomy.ZERO if n in ys else Trichotomy.MINUS
+                else:
+                    want = Trichotomy.PLUS if n in ys else Trichotomy.ZERO
+                assert trichotomy_class(alpha, n) is want, (alpha, n)
+                assert pair.trichotomy(n) is want, (alpha, n)
+                if n < 1:
+                    for call in (lambda: delta2(alpha, n), lambda: pair.delta2(n)):
+                        with pytest.raises(ValueError, match="delta2 is defined for n >= 1"):
+                            call()
+                    continue
+                (a1, b1), (a0, b0) = floors[n], floors[n - 1]
+                assert delta2(alpha, n) == pair.delta2(n) == (b1 - b0) - (a1 - a0), (alpha, n)
+
+    @pytest.mark.parametrize("alpha, message", [
+        (QuadraticNumber.rational(3, 2, D=5), "alpha must be irrational"),
+        (PHI + 1, r"alpha must lie in \(1, 2\), got \(3\+1\*sqrt\(5\)\)/2"),
+        (PHI - 1, r"alpha must lie in \(1, 2\), got \(-1\+1\*sqrt\(5\)\)/2"),
+        (-PHI, r"alpha must lie in \(1, 2\)"),
+        (QuadraticNumber(4, -1, 1, 2), r"alpha must lie in \(1, 2\)"),  # 4 - sqrt2 > 2
+    ])
+    def test_invalid_slope_errors(self, alpha, message):
+        for call in (
+            lambda: conjugate_beatty(alpha),
+            lambda: delta2(alpha, 3),
+            lambda: trichotomy_class(alpha, 3),
+            lambda: trichotomy_class(alpha, -1),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(ValueError, match="delta2 is defined for n >= 1"):
+            delta2(alpha, 0)
