@@ -259,7 +259,8 @@ class QuadraticNumber:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        # A rational value has gcd(p, r) = 1, the normal form of a Fraction.
+        # A rational value has gcd(p, r) = 1 and r > 0, the normal form of a
+        # Fraction, so no Fraction is built.
         if isinstance(other, int):
             return self.q == 0 and self.r == 1 and self.p == other
         if isinstance(other, Fraction):
@@ -282,22 +283,23 @@ class QuadraticNumber:
 
     def floor(self) -> int:
         """Exact floor of the value."""
-        w = _floor_mul_sqrt(self.q, self.D)
-        return (self.p + w) // self.r
+        return beatty_floor(self, 1)
 
     def decimal(self, digits: int = 12) -> str:
         """Truncated decimal rendering (display aid only, never authoritative)."""
         scale = 10 ** digits
-        num = self.p * scale + _floor_mul_sqrt(self.q * scale, self.D)
-        v = num // self.r
+        v = beatty_floor(self, scale)
         sign = "-" if v < 0 else ""
         v = abs(v)
         return f"{sign}{v // scale}.{v % scale:0{digits}d}"
 
 
-_SET_P, _SET_Q, _SET_R, _SET_D = (
-    getattr(QuadraticNumber, name).__set__ for name in QuadraticNumber.__slots__
-)
+# The slots' own setters bypass the immutability guard in __setattr__ without
+# object.__setattr__'s attribute lookup: every arithmetic result writes four.
+_SET_P = QuadraticNumber.p.__set__
+_SET_Q = QuadraticNumber.q.__set__
+_SET_R = QuadraticNumber.r.__set__
+_SET_D = QuadraticNumber.D.__set__
 
 
 def _store(x: QuadraticNumber, p: int, q: int, r: int, D: int) -> None:
@@ -327,24 +329,12 @@ def _sign(p: int, q: int, D: int) -> int:
     return 1 if q > 0 else -1
 
 
-def _floor_mul_sqrt(t: int, D: int) -> int:
-    """floor(t * sqrt(D)) for integer t.
-
-    t*t*D is never a perfect square for t != 0 and square-free D > 1, so the
-    negative branch needs no exactness correction.
-    """
-    if t == 0:
-        return 0
-    if t > 0:
-        return isqrt(t * t * D)
-    return -isqrt(t * t * D) - 1
-
-
 def beatty_floor(alpha: QuadraticNumber, n: int) -> int:
     """Exact floor(n * alpha) for n >= 0."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    # _floor_mul_sqrt(t, alpha.D) inlined: this runs for every Beatty-row value
+    # floor(t*sqrt(D)) with t = n*q: t*t*D is never a perfect square for
+    # t != 0 and square-free D > 1, so the negative branch needs no correction.
     t = n * alpha.q
     w = isqrt(t * t * alpha.D)
     return (n * alpha.p + (w if t >= 0 else -w - 1)) // alpha.r
@@ -353,14 +343,6 @@ def beatty_floor(alpha: QuadraticNumber, n: int) -> int:
 def fractional_part(x: QuadraticNumber) -> QuadraticNumber:
     """x - floor(x), exact, in [0, 1)."""
     return x - x.floor()
-
-
-class Trichotomy(Enum):
-    """Which of the two derived index sequences n belongs to."""
-
-    ZERO = 0
-    PLUS = 1
-    MINUS = -1
 
 
 @dataclass(frozen=True)
@@ -378,7 +360,7 @@ class BeattyPair:
         a, b = self.alpha, self.beta
         if a.q == 0:
             raise ValueError("alpha must be irrational")
-        if a.floor() != 1:  # 1 < a < 2, as a is irrational
+        if not (1 < a < 2):
             raise ValueError(f"alpha must lie in (1, 2), got {a}")
         if not (2 < b):
             raise ValueError(f"beta must exceed 2, got {b}")
@@ -469,6 +451,14 @@ def delta2(alpha: QuadraticNumber, n: int) -> int:
     if n < 1:
         raise ValueError("delta2 is defined for n >= 1")
     return conjugate_beatty(alpha).delta2(n)
+
+
+class Trichotomy(Enum):
+    """Which of the two derived index sequences n belongs to."""
+
+    ZERO = 0
+    PLUS = 1
+    MINUS = -1
 
 
 def trichotomy_class(alpha: QuadraticNumber, n: int) -> Trichotomy:

@@ -92,10 +92,13 @@ class TestKernel:
     @given(quads, operands)
     @example(PHI, 2)
     @example(QuadraticNumber.sqrt(5), QuadraticNumber.rational(2, 1, D=2))  # sqrt2 < 2 < sqrt5
-    def test_order_agrees_with_sign_of_difference(self, x, y):
+    @example(QuadraticNumber.rational(3, 2, D=5), 3)  # == int must compare r
+    @example(QuadraticNumber(6, 1, 1, 5), 6)  # == int must compare q
+    @example(QuadraticNumber(3, 1, 2, 5), Fraction(3, 2))  # == Fraction must compare q
+    def test_comparisons_agree_with_sign_of_difference(self, x, y):
         assume(not mixed_irrational(x, y))
         s = (x - y).sign()
-        for op in ORDER:
+        for op in ORDER + (operator.eq, operator.ne):
             assert op(x, y) == op(s, 0)
             assert op(y, x) == op(0, s)
 
