@@ -73,18 +73,25 @@ def delta2_range(alpha: QuadraticNumber) -> frozenset:
     floor(beta) drops out iff p*{beta} + q*(1-{alpha}) = 1 has a positive
     integer solution, floor(beta)-2 iff p*(1-{beta}) + q*{alpha} = 1 does.
     """
-    return _delta2_range(conjugate_beatty(alpha))
+    return _range_and_solutions(conjugate_beatty(alpha))[0]
 
 
-def _delta2_range(pair: BeattyPair) -> frozenset:
+def _range_and_solutions(pair: BeattyPair):
+    """The delta2 range with both unit-combination solutions (ii, iii).
+
+    ii solves p*(1-{beta}) + q*{alpha} = 1 and drops floor(beta)-2; iii
+    solves p*{beta} + q*(1-{alpha}) = 1 and drops floor(beta).
+    """
     bf = pair.beta.floor()
     frac_a, frac_b = pair.frac_alpha, pair.frac_beta
+    ii = solve_unit_combination(1 - frac_b, frac_a)
+    iii = solve_unit_combination(frac_b, 1 - frac_a)
     values = {bf - 1}
-    if solve_unit_combination(frac_b, 1 - frac_a) is None:
+    if iii is None:
         values.add(bf)
-    if solve_unit_combination(1 - frac_b, frac_a) is None:
+    if ii is None:
         values.add(bf - 2)
-    return frozenset(values)
+    return frozenset(values), ii, iii
 
 
 def classify_alpha(alpha: QuadraticNumber) -> ClassificationResult:
@@ -99,8 +106,7 @@ def classify_alpha(alpha: QuadraticNumber) -> ClassificationResult:
 
 def _classify(pair: BeattyPair) -> ClassificationResult:
     bf = pair.beta.floor()
-    rng = _delta2_range(pair)
-    frac_a, frac_b = pair.frac_alpha, pair.frac_beta
+    rng, ii, iii = _range_and_solutions(pair)
 
     diff = pair.beta - pair.alpha
     if diff.is_integer and diff.p >= 1:
@@ -110,8 +116,8 @@ def _classify(pair: BeattyPair) -> ClassificationResult:
     if bf >= 5:
         return ClassificationResult(FamilyLabel.IV, rng, beta_floor=bf)
 
-    ii = solve_unit_combination(1 - frac_b, frac_a) if bf in (3, 4) else None
-    iii = solve_unit_combination(frac_b, 1 - frac_a) if bf == 4 else None
+    ii = ii if bf in (3, 4) else None
+    iii = iii if bf == 4 else None
     if ii is not None:
         also = ("III",) if iii is not None else ()
         return ClassificationResult(

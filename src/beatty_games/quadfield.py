@@ -16,8 +16,9 @@ sign of a numerator without building the difference.
 `BeattyPair` is the per-slope object: `conjugate_beatty(alpha)` builds it
 once, with beta; 1/alpha, {alpha}, {beta} and the inverses of the last two
 are built on first use and kept.  `pair.delta2(n)` and `pair.trichotomy(n)`
-reuse them.  The public `delta2(alpha, n)` and `trichotomy_class(alpha, n)`
-build a new pair on every call, so loops over n should hold the pair.
+reuse them, and `pair.delta2(n)` carries its last two floors to n + 1.
+The public `delta2(alpha, n)` and `trichotomy_class(alpha, n)` build a new
+pair on every call, so loops over n should hold the pair.
 """
 
 from __future__ import annotations
@@ -390,14 +391,26 @@ class BeattyPair:
     def _inv_frac_beta(self) -> QuadraticNumber:
         return self.frac_beta.inv()
 
+    # (n, floor(n*alpha), floor(n*beta)) of the last delta2 call; replaced
+    # whole, so a reader never sees the floors of one n with another n.
+    _carry = (0, 0, 0)
+
     def delta2(self, n: int) -> int:
-        """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha))."""
+        """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha)).
+
+        The pair carries n, floor(n*alpha) and floor(n*beta) from its last
+        call, so a call at the next n takes two exact floors instead of four;
+        any other call takes four.  The value does not depend on call order.
+        """
         if n < 1:
             raise ValueError("delta2 is defined for n >= 1")
         a, b = self.alpha, self.beta
-        return (beatty_floor(b, n) - beatty_floor(b, n - 1)) - (
-            beatty_floor(a, n) - beatty_floor(a, n - 1)
-        )
+        last, fa0, fb0 = self._carry
+        if n != last + 1:
+            fa0, fb0 = beatty_floor(a, n - 1), beatty_floor(b, n - 1)
+        fa, fb = beatty_floor(a, n), beatty_floor(b, n)
+        self.__dict__["_carry"] = (n, fa, fb)
+        return (fb - fb0) - (fa - fa0)
 
     def trichotomy(self, n: int) -> Trichotomy:
         """Classify n by membership in X = {floor(m/{alpha})} and Y = {floor(m/{beta})}.

@@ -15,6 +15,11 @@ Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
 * solve_relaxed      — the closed formula again, valid for relaxed Wythoff
   whenever f >= 0 and f evaluates to >= 1 at the first step.
 
+The two recurrences run one loop, `_recurrence`, and differ only in their
+hypothesis checks: the closed one refuses an undefined f (ValueError), the
+relaxed one reads it as 0 and raises HypothesisError when f < 0, or when
+f < 1 at the first step.
+
 The retrograde oracle never looks at a recurrence.  Every move from a
 canonical (x, y) lands in a lower row or lower in row x, so it labels the
 board row by row: each earlier P-pair, in each orientation, excludes one
@@ -43,7 +48,6 @@ from .games import (
     Family,
     Position,
     RuleSet,
-    eval_constraint,
 )
 from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
 
@@ -75,13 +79,20 @@ class PTable:
         if self.pairs[0] != (0, 0):
             raise ValueError("tables start at (0, 0)")
         prev_a = -1
+        ties = 0  # pairs with a == b: their value counts once
         for a, b in self.pairs:
             if a <= prev_a:
                 raise ValueError("a_n must be strictly increasing")
             if b < a:
                 raise ValueError(f"pair ({a}, {b}) violates a <= b")
+            ties += b == a
             prev_a = a
         if self.source in (TableSource.DOUBLE_MEX, TableSource.RELAXED_RECURRENCE):
+            # No value repeats iff the values, a tie counted once, are all
+            # distinct (0 is only in the terminal pair: a_n > 0 for n >= 1).
+            # The walk only names the repeated value.
+            if len(set(itertools.chain.from_iterable(self.pairs))) == 2 * len(self.pairs) - ties:
+                return
             seen: Set[int] = set()
             for a, b in self.pairs[1:]:
                 for v in {a, b}:
@@ -102,40 +113,9 @@ def mex(values) -> int:
     return out
 
 
-class _MexStream:
-    """Incremental mex over a growing set of used integers."""
-
-    def __init__(self):
-        self.used: Set[int] = set()
-        self._next = 0
-
-    def add(self, v: int) -> None:
-        self.used.add(v)
-
-    def take(self) -> int:
-        while self._next in self.used:
-            self._next += 1
-        self.used.add(self._next)
-        return self._next
-
-
 def recurrence_closed(constraint: ConstraintSpec, count: int) -> PTable:
     """First `count` pairs of the closed recurrence, whether or not they are P."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    pairs = [(0, 0)]
-    stream = _MexStream()
-    stream.add(0)
-    for _ in range(1, count):
-        a_prev, b_prev = pairs[-1]
-        a = stream.take()
-        f = eval_constraint(constraint, a_prev, b_prev, a)
-        if f is None:
-            raise ValueError(f"constraint undefined at ({a_prev}, {b_prev}, {a})")
-        b = f + b_prev + a - a_prev
-        stream.add(b)
-        pairs.append((a, b))
-    return PTable(tuple(pairs), TableSource.CLOSED_RECURRENCE)
+    return PTable(_recurrence(constraint.value, count, False), TableSource.CLOSED_RECURRENCE)
 
 
 def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
@@ -195,12 +175,13 @@ class _NextUncovered:
 def _doublemex_origin_only(value, count: int) -> Tuple[Tuple[int, int], ...]:
     pairs = [(0, 0)]
     gaps = [0]  # e_k = b_k - a_k
-    stream = _MexStream()
-    stream.add(0)
-    used = stream.used  # above a_n these are all prior b_k
+    used = {0}  # above a_n these are all prior b_k
     covers: Dict[int, _NextUncovered] = {}
+    a = 0
     for _ in range(1, count):
-        a = stream.take()
+        a += 1  # the mex only grows
+        while a in used:
+            a += 1
         f = value(0, 0, a)
         d = 0  # with no interval b = a_n, the mex, which no pair has used
         if f is not None and f >= 1:
@@ -231,7 +212,7 @@ def _doublemex_origin_only(value, count: int) -> Tuple[Tuple[int, int], ...]:
         b = a + d
         pairs.append((a, b))
         gaps.append(d)
-        stream.add(b)
+        used.add(b)
     return tuple(pairs)
 
 
@@ -241,25 +222,41 @@ def solve_relaxed(constraint: ConstraintSpec, count: int) -> PTable:
     Checks the validity hypotheses on every visited value: f >= 0 throughout
     and f >= 1 at the first step (x0 = 1).  Raises HypothesisError otherwise.
     """
+    return PTable(_recurrence(constraint.value, count, True), TableSource.RELAXED_RECURRENCE)
+
+
+def _recurrence(value, count: int, relaxed: bool) -> Tuple[Tuple[int, int], ...]:
+    """Pairs of b_n = f(a_{n-1}, b_{n-1}, a_n) + b_{n-1} + a_n - a_{n-1}.
+
+    a_n, the mex of the values used so far, only grows: a pointer that skips
+    the used b's finds it.  The hypothesis checks are the module docstring's.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     pairs = [(0, 0)]
-    stream = _MexStream()
-    stream.add(0)
+    append = pairs.append
+    used = {0}
+    add = used.add
+    a_prev = b_prev = a = 0
     for n in range(1, count):
-        a_prev, b_prev = pairs[-1]
-        a = stream.take()
-        f = eval_constraint(constraint, a_prev, b_prev, a)
+        a += 1
+        while a in used:
+            a += 1
+        f = value(a_prev, b_prev, a)
         if f is None:
+            if not relaxed:
+                raise ValueError(f"constraint undefined at ({a_prev}, {b_prev}, {a})")
             f = 0
-        if f < 0:
-            raise HypothesisError(f"constraint is negative ({f}) at x0 = {a}")
-        if n == 1 and f < 1:
-            raise HypothesisError("constraint must be >= 1 at x0 = 1")
+        if relaxed and f < 1:
+            if f < 0:
+                raise HypothesisError(f"constraint is negative ({f}) at x0 = {a}")
+            if n == 1:
+                raise HypothesisError("constraint must be >= 1 at x0 = 1")
         b = f + b_prev + a - a_prev
-        stream.add(b)
-        pairs.append((a, b))
-    return PTable(tuple(pairs), TableSource.RELAXED_RECURRENCE)
+        add(b)
+        append((a, b))
+        a_prev, b_prev = a, b
+    return tuple(pairs)
 
 
 def retrograde_oracle(rules: RuleSet, bound: int) -> Set[Position]:

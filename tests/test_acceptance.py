@@ -29,9 +29,7 @@ from beatty_games.quadfield import (
     QuadraticNumber,
     beatty_floor,
     conjugate_beatty,
-    delta2,
     rayleigh_verify,
-    trichotomy_class,
 )
 from beatty_games.solver import (
     PTable,
@@ -188,17 +186,18 @@ def test_criterion_7_inequality_iff_beatty():
 def test_criterion_8_delta2_properties():
     def body():
         for alpha in TEST_ALPHAS:
-            bf = conjugate_beatty(alpha).beta.floor()
+            pair = conjugate_beatty(alpha)
+            bf = pair.beta.floor()
             allowed = (bf - 2, bf - 1, bf)
             for n in range(1, 10_001):
-                d = delta2(alpha, n)
+                d = pair.delta2(n)
                 assert d in allowed and d >= 0
-                predicted = bf - 1 + trichotomy_class(alpha, n - 1).value
+                predicted = bf - 1 + pair.trichotomy(n - 1).value
                 assert d == predicted
         for t in range(1, 6):
-            alpha = golden_alpha(t)
-            bf = conjugate_beatty(alpha).beta.floor()
-            assert all(delta2(alpha, n) == bf - 1 == t for n in range(1, 10_001))
+            pair = conjugate_beatty(golden_alpha(t))
+            bf = pair.beta.floor()
+            assert all(pair.delta2(n) == bf - 1 == t for n in range(1, 10_001))
 
     run_criterion(8, "second-difference properties to n=10^4", 120.0, body)
 

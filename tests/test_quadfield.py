@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv, mpf
 
+from beatty_games import quadfield
 from beatty_games.classifier import enumerate_families
 from beatty_games.quadfield import (
     MAX_RADICAND,
@@ -452,6 +453,41 @@ class TestPerSlope:
                     continue
                 (a1, b1), (a0, b0) = floors[n], floors[n - 1]
                 assert delta2(alpha, n) == pair.delta2(n) == (b1 - b0) - (a1 - a0), (alpha, n)
+
+    def test_delta2_carry_in_any_order(self, monkeypatch):
+        """Runs of consecutive n, repeats and jumps, interleaved over two pairs.
+
+        Every value matches the definition, and a call at the pair's last
+        n + 1 takes two exact floors where any other call takes four.
+        """
+        rng = random.Random(20261018)
+        pairs = [conjugate_beatty(A19), conjugate_beatty(QuadraticNumber.sqrt(2))]
+        last = {id(pair): 0 for pair in pairs}
+        floors = []
+
+        def counting(gamma, n):
+            floors.append(n)
+            return beatty_floor(gamma, n)
+
+        monkeypatch.setattr(quadfield, "beatty_floor", counting)
+        for _ in range(600):
+            pair = rng.choice(pairs)
+            prev = last[id(pair)]
+            step = rng.random()
+            if step < 0.5:
+                n = prev + 1
+            elif step < 0.7 and prev:
+                n = prev
+            else:
+                n = rng.randint(1, 90)
+            a, b = pair.alpha, pair.beta
+            want = (beatty_floor(b, n) - beatty_floor(b, n - 1)) - (
+                beatty_floor(a, n) - beatty_floor(a, n - 1)
+            )
+            floors.clear()
+            assert pair.delta2(n) == want, (a, n, prev)
+            assert len(floors) == (2 if n == prev + 1 else 4), (a, n, prev)
+            last[id(pair)] = n
 
     @pytest.mark.parametrize("alpha, message", [
         (QuadraticNumber.rational(3, 2, D=5), "alpha must be irrational"),

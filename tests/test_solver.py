@@ -210,6 +210,11 @@ class TestRelaxed:
         with pytest.raises(HypothesisError):
             solve_relaxed(ParityHalf(), 5)
 
+    def test_undefined_first_step_is_a_hypothesis_error(self):
+        # None reads as 0, so the first-step check still refuses it
+        with pytest.raises(HypothesisError, match=r"^constraint must be >= 1 at x0 = 1$"):
+            solve_relaxed(ExplicitTable({}), 3)
+
     def test_complementary_and_monotone(self):
         for spec in (BeattyDelta(A55), BeattyDelta(A19), Constant(3)):
             table = solve_relaxed(spec, 300)
@@ -220,6 +225,104 @@ class TestRelaxed:
             assert [v for v in values if v <= horizon] == list(range(1, horizon + 1))
             diffs = [b - a for a, b in table.pairs]
             assert all(d1 <= d2 for d1, d2 in zip(diffs, diffs[1:]))
+
+
+class MexStream:
+    """Incremental mex over a growing set of used integers."""
+
+    def __init__(self):
+        self.used = set()
+        self._next = 0
+
+    def add(self, v):
+        self.used.add(v)
+
+    def take(self):
+        while self._next in self.used:
+            self._next += 1
+        self.used.add(self._next)
+        return self._next
+
+
+def closed_reference(constraint, count):
+    """The closed recurrence as its own loop, before it shared one with relaxed."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    pairs = [(0, 0)]
+    stream = MexStream()
+    stream.add(0)
+    for _ in range(1, count):
+        a_prev, b_prev = pairs[-1]
+        a = stream.take()
+        f = constraint.value(a_prev, b_prev, a)
+        if f is None:
+            raise ValueError(f"constraint undefined at ({a_prev}, {b_prev}, {a})")
+        b = f + b_prev + a - a_prev
+        stream.add(b)
+        pairs.append((a, b))
+    return PTable(tuple(pairs), TableSource.CLOSED_RECURRENCE)
+
+
+def relaxed_reference(constraint, count):
+    """The relaxed recurrence as its own loop, before it shared one with closed."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    pairs = [(0, 0)]
+    stream = MexStream()
+    stream.add(0)
+    for n in range(1, count):
+        a_prev, b_prev = pairs[-1]
+        a = stream.take()
+        f = constraint.value(a_prev, b_prev, a)
+        if f is None:
+            f = 0
+        if f < 0:
+            raise HypothesisError(f"constraint is negative ({f}) at x0 = {a}")
+        if n == 1 and f < 1:
+            raise HypothesisError("constraint must be >= 1 at x0 = 1")
+        b = f + b_prev + a - a_prev
+        stream.add(b)
+        pairs.append((a, b))
+    return PTable(tuple(pairs), TableSource.RELAXED_RECURRENCE)
+
+
+def outcome(fn, *args):
+    """A generator's pairs, or the type and message of what it raised."""
+    try:
+        return fn(*args).pairs
+    except (ValueError, KeyError) as exc:  # HypothesisError is a ValueError
+        return type(exc), str(exc)
+
+
+class TestRecurrenceLoop:
+    def test_matches_the_separate_loops(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for trial in range(400):
+            origin_only = trial % 2 == 0
+            lo = rng.randint(-2, 4)
+            hi = rng.randint(lo, 4)
+
+            def fn(x1, y1, x0, seed=trial, lo=lo, hi=hi, origin_only=origin_only):
+                # a fixed function of its key (or of x0 alone), whatever the call order
+                draw = random.Random(f"{seed}:{x0}" if origin_only else f"{seed}:{x1}:{y1}:{x0}")
+                return None if draw.random() < 0.1 else draw.randint(lo, hi)
+
+            spec = FnConstraint(fn, origin_only)
+            count = rng.randint(0, 60)
+            for gen, reference in (
+                (recurrence_closed, closed_reference),
+                (solve_relaxed, relaxed_reference),
+            ):
+                got = outcome(gen, spec, count)
+                assert got == outcome(reference, spec, count), (trial, gen.__name__)
+                kinds.add((gen.__name__, got[0] if isinstance(got[0], type) else "pairs"))
+        # both loops finished tables and raised each of their errors
+        assert kinds == {
+            ("recurrence_closed", "pairs"), ("recurrence_closed", ValueError),
+            ("solve_relaxed", "pairs"), ("solve_relaxed", ValueError),
+            ("solve_relaxed", HypothesisError),
+        }
 
 
 class TestOracle:
@@ -368,6 +471,40 @@ class TestPTableValidation:
         with pytest.raises(ValueError, match="repeats"):
             PTable(((0, 0), (1, 3), (2, 3)), TableSource.DOUBLE_MEX)
         PTable(((0, 0), (1, 3), (2, 3)), TableSource.ORACLE)  # oracle tables unchecked
+
+    @pytest.mark.parametrize("source", [TableSource.DOUBLE_MEX, TableSource.RELAXED_RECURRENCE])
+    @pytest.mark.parametrize("pairs, repeated", [
+        (((0, 0), (1, 3), (2, 5), (3, 7)), 3),  # b_1 = a_3
+        (((0, 0), (1, 1), (2, 4), (4, 6)), 4),  # b_2 = a_3, after a tie
+        (((0, 0), (1, 1), (2, 3), (3, 3)), 3),  # b_2 = the tie a_3 = b_3
+        (((0, 0), (1, 2), (3, 9), (4, 9)), 9),
+    ])
+    def test_repeat_across_pairs_names_the_value(self, source, pairs, repeated):
+        with pytest.raises(ValueError, match=rf"^value {repeated} repeats in the table$"):
+            PTable(pairs, source)
+        for unchecked in (TableSource.CLOSED_RECURRENCE, TableSource.ORACLE):
+            assert PTable(pairs, unchecked).pairs == pairs
+
+    @pytest.mark.parametrize("source", [TableSource.DOUBLE_MEX, TableSource.RELAXED_RECURRENCE])
+    def test_a_equal_b_is_not_a_repeat(self, source):
+        for pairs in (((0, 0), (1, 1)), ((0, 0), (1, 1), (2, 4), (3, 3), (5, 6))):
+            assert PTable(pairs, source).pairs == pairs
+
+    def test_repeat_check_matches_a_value_walk(self):
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            pairs, a = [(0, 0)], 0
+            for _ in range(rng.randint(0, 6)):
+                a += rng.randint(1, 2)
+                pairs.append((a, a + rng.randint(0, 4)))
+            values = [v for a, b in pairs[1:] for v in {a, b}]
+            repeats = len(values) != len(set(values))
+            try:
+                PTable(tuple(pairs), TableSource.DOUBLE_MEX)
+            except ValueError as exc:
+                assert repeats and "repeats" in str(exc), (pairs, exc)
+            else:
+                assert not repeats, pairs
 
 
 class TestSerialization:
