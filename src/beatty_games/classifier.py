@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .games import BeattyDelta, Family, RuleSet
+from .games import SCHEMA, BeattyDelta, Family, RuleSet
 from .quadfield import (
     BeattyPair,
     QuadraticNumber,
@@ -248,9 +248,9 @@ def families_to_csv(entries: List[Tuple[QuadraticNumber, ClassificationResult]])
     return buf.getvalue()
 
 
-def classification_to_dict(res: ClassificationResult) -> dict:
-    return {
-        "schema": "beatty-games/v1",
+def classification_to_json(res: ClassificationResult) -> str:
+    data = {
+        "schema": SCHEMA,
         "kind": "classification",
         "family": res.family.value,
         "t": res.t,
@@ -261,9 +261,11 @@ def classification_to_dict(res: ClassificationResult) -> dict:
         "also_matches": list(res.also_matches),
         "compatible": res.compatible,
     }
+    return json.dumps(data, indent=2)
 
 
-def classification_from_dict(data: dict) -> ClassificationResult:
+def classification_from_json(text: str) -> ClassificationResult:
+    data = json.loads(text)
     return ClassificationResult(
         family=FamilyLabel(data["family"]),
         delta2_range=frozenset(data["delta2_range"]),
@@ -273,11 +275,3 @@ def classification_from_dict(data: dict) -> ClassificationResult:
         beta_floor=data.get("beta_floor"),
         also_matches=tuple(data.get("also_matches", ())),
     )
-
-
-def classification_to_json(res: ClassificationResult) -> str:
-    return json.dumps(classification_to_dict(res), indent=2)
-
-
-def classification_from_json(text: str) -> ClassificationResult:
-    return classification_from_dict(json.loads(text))

@@ -28,7 +28,6 @@ from .games import (
     RuleSet,
     TargetBeatty,
     canonical,
-    eval_constraint,
     is_legal_move,
     ruleset_from_json,
     ruleset_to_json,
@@ -63,6 +62,7 @@ def _parse_alpha(text: str) -> QuadraticNumber:
 
 
 def _add_constraint_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", choices=["modified", "relaxed"], default="modified")
     group = parser.add_mutually_exclusive_group(required=False)
     group.add_argument("--constant", type=int, metavar="T", help="constant constraint t")
     group.add_argument("--beatty", metavar="ALPHA", help='Beatty constraint, e.g. "(5+1*sqrt(5))/5"')
@@ -72,7 +72,7 @@ def _add_constraint_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_rules(args) -> RuleSet:
-    if getattr(args, "rules", None):
+    if args.rules:
         with open(args.rules) as fh:
             return ruleset_from_json(fh.read())
     if args.constant is not None:
@@ -85,8 +85,7 @@ def _build_rules(args) -> RuleSet:
         constraint = ParityHalf()
     else:
         raise ValueError("no constraint given (use --constant/--beatty/--target-beatty/--parity-half)")
-    family = Family(args.family)
-    return RuleSet(family, constraint)
+    return RuleSet(Family(args.family), constraint)
 
 
 def _table_alpha(rules: RuleSet) -> Optional[QuadraticNumber]:
@@ -111,12 +110,8 @@ def _cmd_gen(args, out) -> int:
         table = solve_doublemex(rules.constraint, args.count)
     else:
         table = solve_relaxed(rules.constraint, args.count)
-    alpha = _table_alpha(rules)
-    if args.output and args.output.endswith(".json"):
-        text = ptable_to_json(table, alpha)
-    else:
-        text = ptable_to_csv(table, alpha)
-    _write_output(text, args.output, out)
+    to_text = ptable_to_json if (args.output or "").endswith(".json") else ptable_to_csv
+    _write_output(to_text(table, _table_alpha(rules)), args.output, out)
     return EXIT_OK
 
 
@@ -214,7 +209,7 @@ def _explain_illegal(rules: RuleSet, pos: Position, k: int, l: int) -> str:
     if k == 0 or l == 0:
         return "that single-pile removal is not legal here"
     d1, d2 = x0 - k, y0 - l
-    bound = eval_constraint(rules.constraint, d1, d2, x0)
+    bound = rules.constraint.value(d1, d2, x0)
     diff = l - k
     if bound is None:
         return f"diagonal from pile A = {x0} is disallowed (constraint undefined)"
@@ -308,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a P-position table from a recurrence")
-    gen.add_argument("--family", choices=["modified", "relaxed"], default="modified")
     _add_constraint_args(gen)
     gen.add_argument("--count", type=int, required=True)
     gen.add_argument("--closed", action="store_true", help="use the closed recurrence")
@@ -316,14 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     oracle = sub.add_parser("oracle", help="brute-force P-positions by retrograde analysis")
-    oracle.add_argument("--family", choices=["modified", "relaxed"], default="modified")
     _add_constraint_args(oracle)
     oracle.add_argument("--bound", type=int, required=True)
     oracle.add_argument("--output", metavar="FILE")
     oracle.set_defaults(func=_cmd_oracle)
 
     verify = sub.add_parser("verify", help="compare the closed recurrence against the oracle")
-    verify.add_argument("--family", choices=["modified", "relaxed"], default="modified")
     _add_constraint_args(verify)
     verify.add_argument("--count", type=int, required=True)
     verify.add_argument("--bound", type=int, required=True)
@@ -347,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     families.set_defaults(func=_cmd_families)
 
     play = sub.add_parser("play", help="interactive terminal game against the engine")
-    play.add_argument("--family", choices=["modified", "relaxed"], default="modified")
     _add_constraint_args(play)
     play.add_argument("--alpha", help="pick rules via the inverse solver for this slope")
     play.add_argument("--start", type=int, nargs=2, metavar=("X", "Y"))

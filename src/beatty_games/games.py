@@ -183,11 +183,6 @@ class ExplicitTable(ConstraintSpec):
         }
 
 
-def eval_constraint(spec: ConstraintSpec, x1: int, y1: int, x0: int) -> Optional[int]:
-    """Evaluate a constraint; None means "diagonal move disallowed"."""
-    return spec.value(x1, y1, x0)
-
-
 @dataclass(eq=True)
 class RuleSet:
     family: Family
@@ -202,7 +197,7 @@ def _diagonal_ok(rules: RuleSet, x0: int, y0: int, d1: int, d2: int) -> bool:
     """Legality of removing (x0-d1, y0-d2) from the physical piles."""
     if d1 > x0 - 1 or d2 > y0 - 1 or d1 < 0 or d2 < 0:
         return False
-    bound = eval_constraint(rules.constraint, d1, d2, x0)
+    bound = rules.constraint.value(d1, d2, x0)
     if bound is None:
         return False
     diff = (y0 - d2) - (x0 - d1)
@@ -287,25 +282,18 @@ def constraint_from_dict(data: dict) -> ConstraintSpec:
     return ExplicitTable(entries, strict=bool(data.get("strict", False)))
 
 
-def ruleset_to_dict(rules: RuleSet) -> dict:
-    return {
+def ruleset_to_json(rules: RuleSet) -> str:
+    data = {
         "schema": SCHEMA,
         "family": rules.family.value,
         "constraint": constraint_to_dict(rules.constraint),
     }
-
-
-def ruleset_from_dict(data: dict) -> RuleSet:
-    """Inverse of ruleset_to_dict; any malformed input raises ValueError."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a ruleset must be a JSON object, got {data!r}")
-    family = Family(data.get("family"))
-    return RuleSet(family, constraint_from_dict(data.get("constraint")))
-
-
-def ruleset_to_json(rules: RuleSet) -> str:
-    return json.dumps(ruleset_to_dict(rules), indent=2)
+    return json.dumps(data, indent=2)
 
 
 def ruleset_from_json(text: str) -> RuleSet:
-    return ruleset_from_dict(json.loads(text))
+    """Inverse of ruleset_to_json; any malformed input raises ValueError."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"a ruleset must be a JSON object, got {data!r}")
+    return RuleSet(Family(data.get("family")), constraint_from_dict(data.get("constraint")))

@@ -93,6 +93,10 @@ class QuadraticNumber:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QuadraticNumber is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the public constructor, which checks D.
+        return (QuadraticNumber, (self.p, self.q, self.r, self.D))
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -133,11 +137,6 @@ class QuadraticNumber:
     @property
     def is_integer(self) -> bool:
         return self.q == 0 and self.r == 1
-
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError("value is irrational")
-        return Fraction(self.p, self.r)
 
     # -- arithmetic ------------------------------------------------------------
 

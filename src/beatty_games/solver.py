@@ -38,6 +38,7 @@ import io
 import itertools
 import json
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
@@ -102,15 +103,6 @@ class PTable:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-def mex(values) -> int:
-    """Least non-negative integer not in the collection."""
-    present = set(values)
-    out = 0
-    while out in present:
-        out += 1
-    return out
 
 
 def recurrence_closed(constraint: ConstraintSpec, count: int) -> PTable:
@@ -368,10 +360,7 @@ def detect_gap(alpha: QuadraticNumber, horizon: int) -> List[GapReport]:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    pair = conjugate_beatty(alpha)
-    a = [beatty_floor(alpha, n) for n in range(horizon + 1)]
-    b = [beatty_floor(pair.beta, n) for n in range(horizon + 1)]
-    f = [0] + [pair.delta2(n) for n in range(1, horizon + 1)]
+    a, b, f = zip(*_beatty_columns(alpha, horizon + 1))
     reports: List[GapReport] = []
     for n in range(2, horizon + 1):
         fn = f[n]
@@ -380,19 +369,11 @@ def detect_gap(alpha: QuadraticNumber, horizon: int) -> List[GapReport]:
             if size <= 0:
                 continue
             lo = a[n] + b[k - 1] - a[k - 1] + fn
-            filled = any(lo <= b[j] <= lo + size - 1 for j in range(n))
+            # b is increasing: the least b_j >= lo decides whether one lands in the gap.
+            j = bisect_left(b, lo, 0, n)
+            filled = j < n and b[j] < lo + size
             reports.append(GapReport(n=n, k=k, gap_size=size, filled=filled))
     return reports
-
-
-def reconstruct_constraint(table: PTable) -> List[Tuple[int, int]]:
-    """Recover f(a_n) = (b_n - a_n) - (b_{n-1} - a_{n-1}) for each n >= 1."""
-    out = []
-    for n in range(1, len(table)):
-        a, b = table.pairs[n]
-        a_prev, b_prev = table.pairs[n - 1]
-        out.append((a, (b - a) - (b_prev - a_prev)))
-    return out
 
 
 # -- export / import ---------------------------------------------------------------
@@ -401,16 +382,14 @@ CSV_COLUMNS = ["n", "a_n", "b_n", "floor_n_alpha", "floor_n_beta", "delta2"]
 
 
 def _beatty_columns(alpha: QuadraticNumber, count: int):
-    pair = conjugate_beatty(alpha)
+    """(floor(n*alpha), floor(n*beta), delta2(n)) per row; delta2 is None at n = 0."""
+    beta = conjugate_beatty(alpha).beta
     rows = []
+    fa0 = fb0 = 0
     for n in range(count):
-        rows.append(
-            (
-                beatty_floor(alpha, n),
-                beatty_floor(pair.beta, n),
-                pair.delta2(n) if n >= 1 else None,
-            )
-        )
+        fa, fb = beatty_floor(alpha, n), beatty_floor(beta, n)
+        rows.append((fa, fb, (fb - fb0) - (fa - fa0) if n >= 1 else None))
+        fa0, fb0 = fa, fb
     return rows
 
 
@@ -432,10 +411,9 @@ def ptable_to_csv(table: PTable, alpha: Optional[QuadraticNumber] = None) -> str
 
 
 def ptable_from_csv(text: str) -> PTable:
-    lines = text.splitlines()
     source = TableSource.ORACLE
     body = []
-    for line in lines:
+    for line in text.splitlines():
         if line.startswith("#"):
             for token in line.split():
                 if token.startswith("source="):
@@ -450,7 +428,7 @@ def ptable_from_csv(text: str) -> PTable:
     return PTable(tuple(pairs), source)
 
 
-def ptable_to_dict(table: PTable, alpha: Optional[QuadraticNumber] = None) -> dict:
+def ptable_to_json(table: PTable, alpha: Optional[QuadraticNumber] = None) -> str:
     data = {
         "schema": SCHEMA,
         "kind": "ptable",
@@ -463,20 +441,13 @@ def ptable_to_dict(table: PTable, alpha: Optional[QuadraticNumber] = None) -> di
             {"floor_n_alpha": fa, "floor_n_beta": fb, "delta2": d2}
             for fa, fb, d2 in _beatty_columns(alpha, len(table))
         ]
-    return data
-
-
-def ptable_from_dict(data: dict) -> PTable:
-    pairs = tuple((int(a), int(b)) for a, b in data["pairs"])
-    return PTable(pairs, TableSource(data["source"]))
-
-
-def ptable_to_json(table: PTable, alpha: Optional[QuadraticNumber] = None) -> str:
-    return json.dumps(ptable_to_dict(table, alpha), indent=2)
+    return json.dumps(data, indent=2)
 
 
 def ptable_from_json(text: str) -> PTable:
-    return ptable_from_dict(json.loads(text))
+    data = json.loads(text)
+    pairs = tuple((int(a), int(b)) for a, b in data["pairs"])
+    return PTable(pairs, TableSource(data["source"]))
 
 
 def positions_to_csv(positions: Set[Position]) -> str:
@@ -490,20 +461,16 @@ def positions_to_csv(positions: Set[Position]) -> str:
 
 
 def positions_to_json(positions: Set[Position], bound: int) -> str:
-    return json.dumps(
-        {
-            "schema": SCHEMA,
-            "kind": "oracle",
-            "bound": bound,
-            "positions": [list(p) for p in sorted(positions)],
-        },
-        indent=2,
-    )
+    data = {
+        "schema": SCHEMA,
+        "kind": "oracle",
+        "bound": bound,
+        "positions": [list(p) for p in sorted(positions)],
+    }
+    return json.dumps(data, indent=2)
 
 
 def oracle_table(positions: Set[Position], limit: Optional[int] = None) -> PTable:
     """Sort an oracle P-set into table form (P-pairs have distinct smaller piles)."""
-    pairs = [(int(x), int(y)) for x, y in sorted(positions)]
-    if limit is not None:
-        pairs = pairs[:limit]
-    return PTable(tuple(pairs), TableSource.ORACLE)
+    pairs = tuple((int(x), int(y)) for x, y in sorted(positions)[:limit])
+    return PTable(pairs, TableSource.ORACLE)

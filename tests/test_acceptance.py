@@ -22,7 +22,6 @@ from beatty_games.games import (
     Position,
     RuleSet,
     TargetBeatty,
-    eval_constraint,
     is_legal_move,
 )
 from beatty_games.quadfield import (
@@ -140,7 +139,7 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_parity_constraint():
     def body():
         rules = RuleSet(Family.MODIFIED, ParityHalf())
-        assert eval_constraint(ParityHalf(), 8, 21, 10) == 8
+        assert ParityHalf().value(8, 21, 10) == 8
         assert is_legal_move(rules, Position(10, 29), Position(8, 21))
         table = solve_doublemex(ParityHalf(), 50)
         assert table.pairs[1] == (1, 1)

@@ -20,7 +20,6 @@ from beatty_games.solver import (
     TableSource,
     PTable,
     compare_tables,
-    reconstruct_constraint,
     solve_doublemex,
 )
 from beatty_games.quadfield import beatty_floor
@@ -227,7 +226,8 @@ class TestEnumeration:
     def test_round_trip_reconstruct_golden(self):
         for t in range(1, 7):
             table = beatty_table(golden_alpha(t), 60)
-            values = {f for _, f in reconstruct_constraint(table)}
+            gaps = [b - a for a, b in table.pairs]
+            values = {e - e_prev for e_prev, e in zip(gaps, gaps[1:])}
             assert values == {t}
 
 

@@ -176,7 +176,7 @@ class TestFamilies:
         assert any(line.startswith("II,3,1,3,-3,1,1,19") for line in text.splitlines())
 
 
-def test_golden_outputs_are_byte_exact():
+def test_golden_outputs_are_byte_exact(tmp_path):
     cases = {
         "gen_beatty_a55.csv": ["gen", "--beatty", A55_TEXT, "--count", "10"],
         "gen_beatty_a55_closed.csv": ["gen", "--beatty", A55_TEXT, "--count", "10", "--closed"],
@@ -190,11 +190,23 @@ def test_golden_outputs_are_byte_exact():
         "oracle_parity_half_50.csv": ["oracle", "--family", "modified", "--parity-half",
                                       "--bound", "50"],
     }
+    # These are written to the --output file, which is read back.
+    written = {
+        "gen_beatty_a55.json": ["gen", "--beatty", A55_TEXT, "--count", "10"],
+        "gen_parity_half_50.json": ["gen", "--family", "modified", "--parity-half",
+                                    "--count", "50"],
+        "oracle_parity_half_50.json": ["oracle", "--family", "modified", "--parity-half",
+                                       "--bound", "50"],
+    }
     exit_codes = {"verify_a55.txt": EXIT_DIVERGENCE}
     for name, argv in cases.items():
         code, out = run(argv)
         assert code == exit_codes.get(name, EXIT_OK), name
         assert out.encode() == (GOLDEN / name).read_bytes(), name
+    for name, argv in written.items():
+        path = tmp_path / name
+        assert run(argv + ["--output", str(path)]) == (EXIT_OK, ""), name
+        assert path.read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 class TestRulesFile:

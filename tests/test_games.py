@@ -12,7 +12,6 @@ from beatty_games.games import (
     canonical,
     constraint_from_dict,
     constraint_to_dict,
-    eval_constraint,
     is_legal_move,
     legal_moves,
     ruleset_from_json,
@@ -31,24 +30,24 @@ REL_W1 = RuleSet(Family.RELAXED, Constant(1))
 
 class TestEvalConstraint:
     def test_beatty_at_lower_sequence_value(self):
-        assert eval_constraint(BeattyDelta(A19), 0, 0, 2) == 3
+        assert BeattyDelta(A19).value(0, 0, 2) == 3
 
     def test_parity_worked_example(self):
-        assert eval_constraint(ParityHalf(), 8, 21, 10) == 8
+        assert ParityHalf().value(8, 21, 10) == 8
 
     def test_constant(self):
-        assert eval_constraint(Constant(1), 5, 9, 7) == 1
+        assert Constant(1).value(5, 9, 7) == 1
 
     def test_parity_closed_form(self):
         spec = ParityHalf()
         for x1 in range(0, 1001):
             for y1 in range(0, 1001):
                 want = x1 if y1 % 2 == 1 else 0
-                assert eval_constraint(spec, x1, y1, x1 + 1) == want
+                assert spec.value(x1, y1, x1 + 1) == want
 
     def test_beatty_x0_zero_is_error(self):
         with pytest.raises(ValueError):
-            eval_constraint(BeattyDelta(A55), 0, 0, 0)
+            BeattyDelta(A55).value(0, 0, 0)
 
     def test_beatty_agrees_with_delta2_on_lower_sequence(self):
         from beatty_games.quadfield import delta2
@@ -56,15 +55,15 @@ class TestEvalConstraint:
         spec = BeattyDelta(A55)
         for n in range(1, 200):
             a_n = beatty_floor(A55, n)
-            assert eval_constraint(spec, 0, 0, a_n) == delta2(A55, n)
+            assert spec.value(0, 0, a_n) == delta2(A55, n)
 
     def test_target_beatty_defined_on_lower_sequence_only(self):
         spec = TargetBeatty(PHI)
         beta = conjugate_beatty(PHI).beta
         # x0 = floor(2*phi) = 3: value (floor(2*beta)-y1)-(3-x1)
-        assert eval_constraint(spec, 1, 2, 3) == (beatty_floor(beta, 2) - 2) - (3 - 1)
+        assert spec.value(1, 2, 3) == (beatty_floor(beta, 2) - 2) - (3 - 1)
         # 2 = floor(1*beta) is not in the lower sequence: disallowed
-        assert eval_constraint(spec, 0, 0, 2) is None
+        assert spec.value(0, 0, 2) is None
 
     def test_constant_requires_positive_t(self):
         with pytest.raises(ValueError):
@@ -72,11 +71,11 @@ class TestEvalConstraint:
 
     def test_table_miss_and_strict(self):
         spec = ExplicitTable({(1, 2, 3): 4})
-        assert eval_constraint(spec, 1, 2, 3) == 4
-        assert eval_constraint(spec, 0, 0, 3) is None
+        assert spec.value(1, 2, 3) == 4
+        assert spec.value(0, 0, 3) is None
         strict = ExplicitTable({(1, 2, 3): 4}, strict=True)
         with pytest.raises(KeyError):
-            eval_constraint(strict, 0, 0, 3)
+            strict.value(0, 0, 3)
 
 
 class TestLegalMoves:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import operator
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -507,3 +510,30 @@ class TestPerSlope:
                 call()
         with pytest.raises(ValueError, match="delta2 is defined for n >= 1"):
             delta2(alpha, 0)
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("x", [A55, -A19, QuadraticNumber.rational(3, 2, D=5)])
+    def test_round_trips(self, x):
+        for again in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert again == x and repr(again) == repr(x)
+            assert_normal(again)
+
+    def test_rebuilds_through_the_checking_constructor(self):
+        fn, args = A55.__reduce__()
+        assert fn is QuadraticNumber and args == (5, 1, 5, 5)
+        with pytest.raises(ValueError, match="radicand must be at most"):
+            fn(*args[:3], MAX_RADICAND + 1)
+
+    def test_asdict_of_a_pair(self):
+        pair = conjugate_beatty(A55)
+        assert dataclasses.asdict(pair) == {"alpha": A55, "beta": pair.beta}
+
+    def test_pickled_pair_after_delta2_calls(self):
+        pair = conjugate_beatty(A19)
+        first = [pair.delta2(n) for n in range(1, 30)]
+        assert pair.trichotomy(7) is trichotomy_class(A19, 7)
+        again = pickle.loads(pickle.dumps(pair))
+        assert again == pair
+        assert [again.delta2(n) for n in range(30, 0, -1)] == [delta2(A19, n) for n in range(30, 0, -1)]
+        assert [again.delta2(n) for n in range(1, 30)] == first

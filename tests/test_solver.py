@@ -16,20 +16,19 @@ from beatty_games.games import (
 )
 from beatty_games.quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
 from beatty_games.solver import (
+    GapReport,
     HypothesisError,
     MAX_ORACLE_BOUND_ENV,
     PTable,
     TableSource,
     compare_tables,
     detect_gap,
-    mex,
     oracle_table,
     ptable_from_csv,
     ptable_from_json,
     ptable_to_csv,
     ptable_to_json,
     recurrence_closed,
-    reconstruct_constraint,
     retrograde_oracle,
     solve_doublemex,
     solve_relaxed,
@@ -95,17 +94,6 @@ def beatty_table(alpha, count):
     beta = conjugate_beatty(alpha).beta
     pairs = tuple((beatty_floor(alpha, n), beatty_floor(beta, n)) for n in range(count))
     return PTable(pairs, TableSource.ORACLE)
-
-
-class TestMex:
-    def test_empty(self):
-        assert mex([]) == 0
-
-    def test_with_gap(self):
-        assert mex({0, 1, 2, 4}) == 3
-
-    def test_missing_zero(self):
-        assert mex({1, 2, 3}) == 0
 
 
 class TestClosedRecurrence:
@@ -444,18 +432,28 @@ class TestDetectGap:
         for r in detect_gap(A55, 60):
             assert r.gap_size > 0
 
-
-class TestReconstruct:
-    def test_a19_values(self):
-        got = reconstruct_constraint(beatty_table(A19, 10))
-        assert [f for _, f in got] == [2, 3, 2, 3, 2, 2, 3, 3, 2]
-
-    def test_golden_constant(self):
-        got = reconstruct_constraint(beatty_table(PHI, 40))
-        assert all(f == 1 for _, f in got)
-
-    def test_single_pair(self):
-        assert reconstruct_constraint(PTable(((0, 0),), TableSource.ORACLE)) == []
+    # The four test slopes, two incompatible ones whose gaps are part filled, and
+    # one whose f reaches 0, so that b_n itself can land in a gap of row n.
+    @pytest.mark.parametrize("alpha", [
+        PHI, A55, A19, SQRT2, QuadraticNumber(2, 1, 2, 2), QuadraticNumber(4, 1, 3, 2),
+        QuadraticNumber(4, 1, 4, 5),
+    ])
+    def test_equals_four_floor_linear_scan_form(self, alpha):
+        """Same reports as four exact floors per row and a scan over every b_j."""
+        pair = conjugate_beatty(alpha)
+        horizon = 120
+        a = [beatty_floor(alpha, n) for n in range(horizon + 1)]
+        b = [beatty_floor(pair.beta, n) for n in range(horizon + 1)]
+        f = [0] + [pair.delta2(n) for n in range(1, horizon + 1)]
+        want = []
+        for n in range(2, horizon + 1):
+            for k in range(1, n):
+                size = f[k] - 2 * f[n] + 1
+                if size > 0:
+                    lo = a[n] + b[k - 1] - a[k - 1] + f[n]
+                    filled = any(lo <= b[j] <= lo + size - 1 for j in range(n))
+                    want.append(GapReport(n=n, k=k, gap_size=size, filled=filled))
+        assert detect_gap(alpha, horizon) == want
 
 
 class TestPTableValidation:

@@ -1,11 +1,15 @@
 """The runtime is stdlib-only and exact: every source file of the package is
-scanned for imports from outside the standard library and for floats."""
+scanned for imports from outside the standard library and for floats.  It is
+also scanned for imports it no longer reads, and the package must export
+exactly the names its __init__ imports."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import beatty_games
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "beatty_games"
 INEXACT_MATH = {"sqrt", "floor"}
@@ -82,3 +86,51 @@ def test_scanner_flags_each_forbidden_form(source):
 ])
 def test_scanner_accepts_exact_stdlib_code(source):
     assert violations(source) == []
+
+
+def unused_imports(source: str):
+    """Top-level imported names the module never reads; a name in __all__ is read."""
+    tree = ast.parse(source)
+    imported = set()
+    read = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_package_sources_keep_no_unused_import():
+    found = {f.name: unused_imports(f.read_text()) for f in sorted(PACKAGE.glob("*.py"))}
+    assert all(not v for v in found.values()), found
+
+
+def test_package_exports_exactly_what_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(imported) == sorted(beatty_games.__all__)
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import json\nx = 1", ["json"]),
+    ("from typing import List, Optional\nx: List[int] = []", ["Optional"]),
+    ("import os.path\nx = 1", ["os"]),
+    ("from .games import eval_constraint as ev\nx = 1", ["ev"]),
+    ("from __future__ import annotations\nimport json\njson.dumps(1)", []),
+    ("import os.path\nos.path.join('a')", []),
+    ("from .games import SCHEMA\n__all__ = ['SCHEMA']", []),
+    ("def f():\n    from json import dumps\n    return 1", []),
+])
+def test_unused_import_scanner(source, unused):
+    assert unused_imports(source) == unused
