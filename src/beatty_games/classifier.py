@@ -265,13 +265,19 @@ def classification_to_json(res: ClassificationResult) -> str:
 
 
 def classification_from_json(text: str) -> ClassificationResult:
+    """Inverse of classification_to_json; a malformed structure raises ValueError."""
     data = json.loads(text)
-    return ClassificationResult(
-        family=FamilyLabel(data["family"]),
-        delta2_range=frozenset(data["delta2_range"]),
-        t=data.get("t"),
-        p=data.get("p"),
-        q=data.get("q"),
-        beta_floor=data.get("beta_floor"),
-        also_matches=tuple(data.get("also_matches", ())),
-    )
+    if not isinstance(data, dict):
+        raise ValueError(f"a classification must be a JSON object, got {data!r}")
+    try:
+        return ClassificationResult(
+            family=FamilyLabel(data["family"]),
+            delta2_range=frozenset(data["delta2_range"]),
+            t=data.get("t"),
+            p=data.get("p"),
+            q=data.get("q"),
+            beta_floor=data.get("beta_floor"),
+            also_matches=tuple(data.get("also_matches", ())),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed classification: {exc}") from exc

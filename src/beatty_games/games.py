@@ -35,19 +35,32 @@ class Family(Enum):
     RELAXED = "relaxed"
 
 
+class Shape(Enum):
+    """How a constraint depends on (x1, y1, x0); solve_doublemex picks its path by it."""
+
+    ORIGIN = "origin"  # f(x0) alone
+    GAP_AFFINE = "gap_affine"  # f = gap(x0) - (y1 - x1)
+    GENERAL = "general"
+
+
 class ConstraintSpec:
     """Bound on how unequal a simultaneous two-pile removal may be.
 
     ``value(x1, y1, x0)`` evaluates the bound for a move from a position with
     smaller pile x0 to the physical destination (x1, y1).  ``None`` means the
-    diagonal move is disallowed outright.  ``origin_only`` marks constraints
-    that depend on x0 alone, the shape the relaxed recurrence requires.
+    diagonal move is disallowed outright.  ``shape`` says what the value
+    depends on: ``ORIGIN``, x0 alone (the shape the relaxed recurrence
+    requires); ``GAP_AFFINE``, ``gap(x0) - (y1 - x1)``, with ``gap`` returning
+    ``None`` where the value is; ``GENERAL``, anything else.
     """
 
     kind: str = ""
-    origin_only: bool = False
+    shape: Shape = Shape.GENERAL
 
     def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
+        raise NotImplementedError
+
+    def gap(self, x0: int) -> Optional[int]:
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -60,7 +73,7 @@ class Constant(ConstraintSpec):
 
     t: int
     kind = "constant"
-    origin_only = True
+    shape = Shape.ORIGIN
 
     def __post_init__(self):
         if self.t < 1:
@@ -86,7 +99,7 @@ class BeattyDelta(ConstraintSpec):
     alpha: QuadraticNumber
     _memo: Dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     kind = "beatty"
-    origin_only = True
+    shape = Shape.ORIGIN
 
     def __post_init__(self):
         self.pair = conjugate_beatty(self.alpha)  # validates alpha
@@ -110,35 +123,32 @@ class TargetBeatty(ConstraintSpec):
     """Per-destination constraint (floor(n*beta)-y1) - (floor(n*alpha)-x1).
 
     Defined only when x0 = floor(n*alpha) for some n >= 1; from any other
-    origin the diagonal move is disallowed.  `pair` is the slope's
-    `BeattyPair`, built once here.
+    origin the diagonal move is disallowed.  It is gap-affine: the value is
+    gap(x0) - (y1 - x1) with gap(x0) = floor(n*beta) - floor(n*alpha).
+    `pair` is the slope's `BeattyPair`, built once here.
     """
 
     alpha: QuadraticNumber
-    _memo: Dict[int, Optional[Tuple[int, int]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    _memo: Dict[int, Optional[int]] = field(default_factory=dict, repr=False, compare=False)
     kind = "target_beatty"
-    origin_only = False
+    shape = Shape.GAP_AFFINE
 
     def __post_init__(self):
         self.pair = conjugate_beatty(self.alpha)  # validates alpha
 
-    def _floors(self, x0: int) -> Optional[Tuple[int, int]]:
-        if x0 not in self._memo:
+    def gap(self, x0: int) -> Optional[int]:
+        memo = self._memo
+        if x0 not in memo:
             n = beatty_floor(self.pair.inv_alpha, x0 + 1)
             if n >= 1 and beatty_floor(self.alpha, n) == x0:
-                self._memo[x0] = (x0, beatty_floor(self.pair.beta, n))
+                memo[x0] = beatty_floor(self.pair.beta, n) - x0
             else:
-                self._memo[x0] = None
-        return self._memo[x0]
+                memo[x0] = None
+        return memo[x0]
 
     def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
-        floors = self._floors(x0)
-        if floors is None:
-            return None
-        na, nb = floors
-        return (nb - y1) - (na - x1)
+        g = self.gap(x0)
+        return None if g is None else g - (y1 - x1)
 
     def params(self) -> dict:
         return {"alpha": str(self.alpha)}
@@ -149,7 +159,6 @@ class ParityHalf(ConstraintSpec):
     """f(x1, y1, x0) = (1 + (-1)**(y1+1)) * x1 / 2: x1 when y1 is odd, else 0."""
 
     kind = "parity_half"
-    origin_only = False
 
     def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
         return x1 if y1 % 2 == 1 else 0
@@ -168,7 +177,6 @@ class ExplicitTable(ConstraintSpec):
     values: Dict[Tuple[int, int, int], int]
     strict: bool = False
     kind = "table"
-    origin_only = False
 
     def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
         got = self.values.get((x1, y1, x0))

@@ -9,9 +9,8 @@ Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
   least b >= a_n distinct from every prior b_k and outside one interval per
   prior pair in each orientation (d1, d2) with d1 < a_n, namely
   [max(d2+1, c-f+1), c+f-1] with c = a_n - d1 + d2 and f = f(d1, d2, a_n).
-  That is the oracle's row rule run for `count` pairs: O(count^2)
-  evaluations in general, one per pair and near-linear time when the
-  constraint is origin_only.
+  The constraint's shape picks the path; solve_doublemex's docstring gives
+  each path's rule and cost, and the MAX_COUNT cap every generator shares.
 * solve_relaxed      — the closed formula again, valid for relaxed Wythoff
   whenever f >= 0 and f evaluates to >= 1 at the first step.
 
@@ -49,11 +48,13 @@ from .games import (
     Family,
     Position,
     RuleSet,
+    Shape,
 )
 from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
 
 MAX_ORACLE_BOUND_ENV = "BEATTY_GAMES_MAX_ORACLE_BOUND"
 _DEFAULT_MAX_ORACLE_BOUND = 4096
+MAX_COUNT = 10**6  # pairs per generator call
 
 
 class HypothesisError(ValueError):
@@ -117,25 +118,43 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     orientation (d1, d2) with d1 < a_n, is reached diagonally from the b of
     one interval, with f = f(d1, d2, a_n) and c = a_n - d1 + d2:
     [max(d2+1, c-f+1), c+f-1] (none when f is None).  b_n is the least
-    b >= a_n outside every interval and distinct from every prior b_k.  This
-    is retrograde_oracle's row rule run for `count` pairs instead of up to a
-    bound, at O(count) evaluations per pair.
+    b >= a_n outside every interval and distinct from every prior b_k.
+    `count` must be in [1, MAX_COUNT], as for every generator here.  The
+    path follows constraint.shape:
 
-    When the constraint is origin_only, f = f(a_n) is evaluated once per pair
-    and the search runs in d = b - a_n.  Pair (0, 0) already covers
-    [0, f-1], which holds every swapped interval.  Once a_n - a_k >= f, pair
-    k's interval is the fixed [e_k-f+1, e_k+f-1] with e_k = b_k - a_k; those
-    enter a union-find "next uncovered d" per value of f, and only the fewer
-    than f younger pairs and the used b's are checked one by one.  The cost
-    is near-linear in `count` for Constant and BeattyDelta.
+    GENERAL: retrograde_oracle's row rule run for `count` pairs instead of
+    up to a bound, at O(count) evaluations per pair, O(count^2) in all.
+
+    ORIGIN: f = f(a_n) is evaluated once per pair and the search runs in
+    d = b - a_n.  Pair (0, 0) already covers [0, f-1], which holds every
+    swapped interval.  Once a_n - a_k >= f, pair k's interval is the fixed
+    [e_k-f+1, e_k+f-1] with e_k = b_k - a_k; those enter a union-find "next
+    uncovered d" per value of f, and only the fewer than f younger pairs and
+    the used b's are checked one by one.  Near-linear for Constant and
+    BeattyDelta.
+
+    GAP_AFFINE, f = g(a_n) - (d2 - d1): every interval ends at
+    c + f - 1 = a_n + g - 1, below a_n when g <= 0; when g >= 1, pair
+    (0, 0)'s interval [a_n-g+1, a_n+g-1] covers all of [a_n, a_n+g-1].  So
+    b_n is the least unused b >= a_n + max(g, 0), or a_n when g is None: one
+    gap call and a union-find step per pair, memory O(count) however far
+    b_n runs ahead of it.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if constraint.origin_only:
+    _check_count(count)
+    if constraint.shape is Shape.ORIGIN:
         pairs = _doublemex_origin_only(constraint.value, count)
+    elif constraint.shape is Shape.GAP_AFFINE:
+        pairs = _doublemex_gap_affine(constraint.gap, count)
     else:
         pairs = tuple(itertools.islice(_label_rows(constraint.value, False), count))
     return PTable(pairs, TableSource.DOUBLE_MEX)
+
+
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if count > MAX_COUNT:
+        raise ValueError(f"count {count} exceeds the cap {MAX_COUNT}")
 
 
 class _NextUncovered:
@@ -208,6 +227,33 @@ def _doublemex_origin_only(value, count: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _doublemex_gap_affine(gap, count: int) -> Tuple[Tuple[int, int], ...]:
+    # Union-find over y > 0: a used y points past itself, so unused(y) is the
+    # least unused y' >= y.  Only used values have an entry, so memory
+    # follows count even where b_n is far above it (slopes near 1).
+    parent: Dict[int, int] = {}
+
+    def unused(y: int) -> int:
+        root = y
+        while root in parent:
+            root = parent[root]
+        while y != root:
+            parent[y], y = root, parent[y]
+        return root
+
+    pairs = [(0, 0)]
+    a = 0
+    for _ in range(1, count):
+        a = unused(a + 1)  # the mex only grows
+        g = gap(a)
+        # a is still unused here, so b = a (a tie) stays possible
+        b = unused(a if g is None or g < 0 else a + g)
+        parent[a] = a + 1
+        parent[b] = b + 1
+        pairs.append((a, b))
+    return tuple(pairs)
+
+
 def solve_relaxed(constraint: ConstraintSpec, count: int) -> PTable:
     """P-positions of relaxed Wythoff via b_n = f + b_{n-1} + a_n - a_{n-1}.
 
@@ -223,8 +269,7 @@ def _recurrence(value, count: int, relaxed: bool) -> Tuple[Tuple[int, int], ...]
     a_n, the mex of the values used so far, only grows: a pointer that skips
     the used b's finds it.  The hypothesis checks are the module docstring's.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_count(count)
     pairs = [(0, 0)]
     append = pairs.append
     used = {0}
@@ -411,6 +456,7 @@ def ptable_to_csv(table: PTable, alpha: Optional[QuadraticNumber] = None) -> str
 
 
 def ptable_from_csv(text: str) -> PTable:
+    """Inverse of ptable_to_csv; a malformed structure raises ValueError."""
     source = TableSource.ORACLE
     body = []
     for line in text.splitlines():
@@ -421,10 +467,14 @@ def ptable_from_csv(text: str) -> PTable:
         elif line.strip():
             body.append(line)
     reader = csv.reader(body)
-    header = next(reader)
-    if header[:3] != CSV_COLUMNS[:3]:
+    header = next(reader, None)
+    if header is None or header[:3] != CSV_COLUMNS[:3]:
         raise ValueError(f"unexpected CSV header: {header}")
-    pairs = [(int(row[1]), int(row[2])) for row in reader]
+    pairs = []
+    for row in reader:
+        if len(row) < 3:
+            raise ValueError(f"short CSV row: {row}")
+        pairs.append((int(row[1]), int(row[2])))
     return PTable(tuple(pairs), source)
 
 
@@ -445,9 +495,14 @@ def ptable_to_json(table: PTable, alpha: Optional[QuadraticNumber] = None) -> st
 
 
 def ptable_from_json(text: str) -> PTable:
+    """Inverse of ptable_to_json; a malformed structure raises ValueError."""
     data = json.loads(text)
-    pairs = tuple((int(a), int(b)) for a, b in data["pairs"])
-    return PTable(pairs, TableSource(data["source"]))
+    try:
+        pairs = tuple((int(a), int(b)) for a, b in data["pairs"])
+        source = TableSource(data["source"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed ptable: {exc}") from exc
+    return PTable(pairs, source)
 
 
 def positions_to_csv(positions: Set[Position]) -> str:

@@ -21,6 +21,7 @@ from beatty_games.games import (
     ParityHalf,
     Position,
     RuleSet,
+    Shape,
     TargetBeatty,
     is_legal_move,
 )
@@ -125,7 +126,7 @@ def test_criterion_4_oracle_equivalence():
         # relaxed rules, where the hypotheses hold (origin-only constraint,
         # f >= 0, f(1) >= 1): the constants and every Beatty constraint
         for spec in specs:
-            if not spec.origin_only:
+            if spec.shape is not Shape.ORIGIN:
                 continue
             rules = RuleSet(Family.RELAXED, spec)
             truth = retrograde_oracle(rules, bound)

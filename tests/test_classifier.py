@@ -237,6 +237,15 @@ class TestSerialization:
             res = classify_alpha(alpha)
             assert classification_from_json(classification_to_json(res)) == res
 
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "malformed classification: 'family'"),
+        ("[1]", "must be a JSON object"),
+        ('{"family": "I", "delta2_range": 5}', "malformed classification"),
+    ])
+    def test_malformed_json_is_a_value_error(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            classification_from_json(text)
+
     def test_families_csv(self):
         entries = enumerate_families(3, 2, 2)
         text = families_to_csv(entries)

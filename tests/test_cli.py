@@ -236,6 +236,17 @@ class TestRulesFile:
         assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--constant", "1"],
+    ["verify", "--beatty", A55_TEXT, "--bound", "30"],
+    ["inverse", "--alpha", A55_TEXT],
+])
+def test_count_above_the_cap_exits_two(argv, capsys):
+    assert run(argv + ["--count", str(10**9)]) == (EXIT_PARSE, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds the cap" in err
+
+
 class TestPlay:
     def test_scripted_session(self):
         rules = RuleSet(Family.MODIFIED, ParityHalf())

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from beatty_games.classifier import enumerate_families
 from beatty_games.games import (
     BeattyDelta,
     Constant,
@@ -11,6 +13,7 @@ from beatty_games.games import (
     ParityHalf,
     Position,
     RuleSet,
+    Shape,
     TargetBeatty,
     legal_moves,
 )
@@ -18,6 +21,7 @@ from beatty_games.quadfield import QuadraticNumber, beatty_floor, conjugate_beat
 from beatty_games.solver import (
     GapReport,
     HypothesisError,
+    MAX_COUNT,
     MAX_ORACLE_BOUND_ENV,
     PTable,
     TableSource,
@@ -69,13 +73,15 @@ def random_table(rng, bound, origin_only):
 
 
 class FnConstraint(ConstraintSpec):
-    """Test-only constraint from any fn(x1, y1, x0), with origin_only as given."""
+    """Test-only constraint from any fn(x1, y1, x0), with the shape (and, when
+    gap-affine, the gap hook) as given."""
 
     kind = "test_fn"
 
-    def __init__(self, fn, origin_only):
+    def __init__(self, fn, shape, gap=None):
         self.fn = fn
-        self.origin_only = origin_only
+        self.shape = shape
+        self.gap = gap
 
     def value(self, x1, y1, x0):
         return self.fn(x1, y1, x0)
@@ -88,6 +94,15 @@ def random_origin_f(rng, count):
     hi = rng.randint(lo, 9)
     miss = rng.choice((0.0, 0.05, 0.2))
     return [None if rng.random() < miss else rng.randint(lo, hi) for _ in range(2 * count)]
+
+
+def random_slope(rng):
+    """A seeded slope (p + q*sqrt(d))/r, irrational and in (1, 2)."""
+    while True:
+        alpha = QuadraticNumber(rng.randint(-30, 30), rng.choice((-3, -2, -1, 1, 2, 3)),
+                                rng.randint(1, 12), rng.randint(2, 50))
+        if alpha.q != 0 and 1 < alpha < 2:
+            return alpha
 
 
 def beatty_table(alpha, count):
@@ -142,7 +157,7 @@ class TestDoubleMex:
     def test_young_pair_interval_is_clipped(self):
         # Origin-only f(1) = 5, f(2) = 3, then 1.  From (2, 5) the diagonal
         # to (1, 6) needs pile B to grow, so (1, 6) does not exclude b = 5.
-        spec = FnConstraint(lambda x1, y1, x0: {1: 5, 2: 3}.get(x0, 1), origin_only=True)
+        spec = FnConstraint(lambda x1, y1, x0: {1: 5, 2: 3}.get(x0, 1), Shape.ORIGIN)
         pairs = ((0, 0), (1, 6), (2, 5), (3, 4), (7, 9), (8, 12))
         assert solve_doublemex(spec, 6).pairs == pairs
         naive = naive_p_positions(RuleSet(Family.MODIFIED, spec), 12)
@@ -151,7 +166,7 @@ class TestDoubleMex:
     def test_swapped_orientation_counts(self):
         # f = 1 except f(2, 1, 3) = 4: (3, 5) moves to the swapped pair (2, 1).
         spec = FnConstraint(lambda x1, y1, x0: 4 if (x1, y1, x0) == (2, 1, 3) else 1,
-                            origin_only=False)
+                            Shape.GENERAL)
         pairs = ((0, 0), (1, 2), (3, 6), (4, 8), (5, 7))
         assert solve_doublemex(spec, 5).pairs == pairs
         naive = naive_p_positions(RuleSet(Family.MODIFIED, spec), 8)
@@ -175,9 +190,73 @@ class TestDoubleMex:
         fns += [Constant(t).value for t in (1, 2, 3, 4, 7)]
         fns += [BeattyDelta(a).value for a in (A55, A19, PHI, SQRT2)]
         for fn in fns:
-            fast = solve_doublemex(FnConstraint(fn, origin_only=True), 400)
-            generic = solve_doublemex(FnConstraint(fn, origin_only=False), 400)
+            fast = solve_doublemex(FnConstraint(fn, Shape.ORIGIN), 400)
+            generic = solve_doublemex(FnConstraint(fn, Shape.GENERAL), 400)
             assert fast == generic
+
+    def test_target_beatty_path_equals_generic_path(self):
+        rng = random.Random(20221018)
+        alphas = [A55, A19, PHI, SQRT2] + [alpha for alpha, _ in enumerate_families(6, 6, 6)]
+        while len(alphas) < 51:
+            alphas.append(random_slope(rng))
+        for alpha in alphas:
+            spec = TargetBeatty(alpha)
+            generic = solve_doublemex(FnConstraint(spec.value, Shape.GENERAL), 400)
+            assert solve_doublemex(spec, 400) == generic, alpha
+
+    def test_gap_affine_path_equals_generic_path(self):
+        rng = random.Random(20221019)
+        gaps = []
+        for _ in range(1000):
+            miss = rng.uniform(0.1, 0.3)
+            g = [None if rng.random() < miss else rng.randint(-3, 7) for _ in range(120)]
+            gaps.append(g.__getitem__)
+        gaps += [lambda x0, t=t: t - x0 for t in (0, 1, 5, 30, 100)]
+        for gap in gaps:
+            def fn(x1, y1, x0, gap=gap):
+                g = gap(x0)
+                return None if g is None else g - (y1 - x1)
+
+            fast = solve_doublemex(FnConstraint(fn, Shape.GAP_AFFINE, gap), 60)
+            assert fast == solve_doublemex(FnConstraint(fn, Shape.GENERAL), 60)
+
+    def test_near_linear_constraint_calls(self):
+        # A silent fallback to the quadratic row sweep doubles the ratio.
+        def calls(spec, count):
+            made = [0]
+
+            def counted(fn):
+                def wrapped(*args):
+                    made[0] += 1
+                    return fn(*args)
+                return wrapped
+
+            solve_doublemex(FnConstraint(counted(spec.value), spec.shape, counted(spec.gap)), count)
+            return made[0]
+
+        for make in (lambda: TargetBeatty(A19), lambda: Constant(2), lambda: BeattyDelta(A19)):
+            ratio = calls(make(), 1000) / calls(make(), 500)
+            assert ratio <= 2.2, (make(), ratio)
+
+    def test_gap_affine_memory_follows_count(self):
+        # Near 1, beta = alpha/(alpha-1) is huge: b_1 is about 2*10^10 here.
+        alpha = QuadraticNumber(0, 1, 100000, 10**10 + 1)
+        assert solve_doublemex(TargetBeatty(alpha), 2).pairs == beatty_table(alpha, 2).pairs
+        # b reaches about 4*10^7 at 2,000 pairs; the memory must not.
+        alpha = QuadraticNumber(0, 1, 100, 10001)
+        tracemalloc.start()
+        try:
+            table = solve_doublemex(TargetBeatty(alpha), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.pairs == beatty_table(alpha, 2000).pairs
+        assert peak < 4 * 2**20, peak
+
+    def test_count_cap(self):
+        for gen in (solve_doublemex, solve_relaxed, recurrence_closed):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                gen(Constant(1), MAX_COUNT + 1)
 
     def test_closed_equals_doublemex_when_inequality_holds(self):
         # 2*min f - max f >= 1 over visited values
@@ -296,7 +375,7 @@ class TestRecurrenceLoop:
                 draw = random.Random(f"{seed}:{x0}" if origin_only else f"{seed}:{x1}:{y1}:{x0}")
                 return None if draw.random() < 0.1 else draw.randint(lo, hi)
 
-            spec = FnConstraint(fn, origin_only)
+            spec = FnConstraint(fn, Shape.ORIGIN if origin_only else Shape.GENERAL)
             count = rng.randint(0, 60)
             for gen, reference in (
                 (recurrence_closed, closed_reference),
@@ -522,6 +601,19 @@ class TestSerialization:
         table = solve_relaxed(Constant(2), 12)
         assert ptable_from_json(ptable_to_json(table)) == table
         assert ptable_from_json(ptable_to_json(table, alpha=None)) == table
+
+    @pytest.mark.parametrize("text", ["[1]", "{}", '{"pairs": [[0, 0]]}'])
+    def test_malformed_json_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="malformed ptable"):
+            ptable_from_json(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "unexpected CSV header: None"),
+        ("n,a_n,b_n\n0,0,0\n1,2\n", "short CSV row"),
+    ])
+    def test_malformed_csv_is_a_value_error(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            ptable_from_csv(text)
 
     def test_oracle_table_sorted(self):
         rules = RuleSet(Family.MODIFIED, Constant(1))
