@@ -26,6 +26,8 @@ from .quadfield import (
     solve_unit_combination,
 )
 
+MAX_FAMILY_BOUND = 100  # largest p_max, q_max, t_max of enumerate_families
+
 
 class FamilyLabel(Enum):
     I = "I"
@@ -150,13 +152,7 @@ def family_ii_alpha(p: int, q: int, beta_floor: int) -> Optional[QuadraticNumber
     if beta_floor not in (3, 4):
         raise ValueError("beta_floor must be 3 or 4")
     m = beta_floor * p - 1
-    disc = 4 * p * q + m * m
-    alpha = QuadraticNumber(2 * q - m, 1, 2 * q, disc)
-    if alpha.is_rational or not (1 < alpha < 2):
-        return None
-    if conjugate_beatty(alpha).beta.floor() != beta_floor:
-        return None
-    return alpha
+    return _family_root(QuadraticNumber(2 * q - m, 1, 2 * q, 4 * p * q + m * m), beta_floor)
 
 
 def family_iii_alpha(p: int, q: int) -> Optional[QuadraticNumber]:
@@ -164,13 +160,14 @@ def family_iii_alpha(p: int, q: int) -> Optional[QuadraticNumber]:
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     m = q - 3 * p - 1
-    disc = 4 * p * q + m * m
-    alpha = QuadraticNumber(3 * q - 3 * p - 1, 1, 2 * q, disc)
+    return _family_root(QuadraticNumber(3 * q - 3 * p - 1, 1, 2 * q, 4 * p * q + m * m), 4)
+
+
+def _family_root(alpha: QuadraticNumber, beta_floor: int) -> Optional[QuadraticNumber]:
+    """alpha if it is irrational, inside (1, 2) and its conjugate's floor is beta_floor."""
     if alpha.is_rational or not (1 < alpha < 2):
         return None
-    if conjugate_beatty(alpha).beta.floor() != 4:
-        return None
-    return alpha
+    return alpha if conjugate_beatty(alpha).beta.floor() == beta_floor else None
 
 
 def inverse_solve(alpha: QuadraticNumber) -> Tuple[RuleSet, BeattyDelta]:
@@ -189,8 +186,8 @@ def enumerate_families(
     p_max: int, q_max: int, t_max: int
 ) -> List[Tuple[QuadraticNumber, ClassificationResult]]:
     """All family members within the parameter box, deduplicated exactly."""
-    if p_max < 1 or q_max < 1 or t_max < 1:
-        raise ValueError("bounds must be >= 1")
+    if not all(1 <= b <= MAX_FAMILY_BOUND for b in (p_max, q_max, t_max)):
+        raise ValueError(f"bounds must be in [1, {MAX_FAMILY_BOUND}]: {p_max}, {q_max}, {t_max}")
     out: List[Tuple[QuadraticNumber, ClassificationResult]] = []
     seen = set()
 
@@ -270,14 +267,17 @@ def classification_from_json(text: str) -> ClassificationResult:
     if not isinstance(data, dict):
         raise ValueError(f"a classification must be a JSON object, got {data!r}")
     try:
-        return ClassificationResult(
-            family=FamilyLabel(data["family"]),
-            delta2_range=frozenset(data["delta2_range"]),
-            t=data.get("t"),
-            p=data.get("p"),
-            q=data.get("q"),
-            beta_floor=data.get("beta_floor"),
-            also_matches=tuple(data.get("also_matches", ())),
-        )
-    except (KeyError, TypeError) as exc:
+        family = FamilyLabel(data["family"])
+        rng, also = data["delta2_range"], data.get("also_matches", [])
+    except KeyError as exc:
         raise ValueError(f"malformed classification: {exc}") from exc
+    params = {name: data.get(name) for name in ("t", "p", "q", "beta_floor")}
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int
+    for name, value, ok in (
+        *((k, v, v is None or type(v) is int) for k, v in params.items()),
+        ("delta2_range", rng, isinstance(rng, list) and all(type(v) is int for v in rng)),
+        ("also_matches", also, isinstance(also, list) and all(type(v) is str for v in also)),
+    ):
+        if not ok:
+            raise ValueError(f"malformed classification: {name} = {value!r}")
+    return ClassificationResult(family, frozenset(rng), also_matches=tuple(also), **params)

@@ -13,12 +13,12 @@ existing instance, hence already square-free, and only normalizes sign and
 gcd.  Comparisons with an int, or with a value of the same field, decide the
 sign of a numerator without building the difference.
 
-`BeattyPair` is the per-slope object: `conjugate_beatty(alpha)` builds it
-once, with beta; 1/alpha, {alpha}, {beta} and the inverses of the last two
-are built on first use and kept.  `pair.delta2(n)` and `pair.trichotomy(n)`
-reuse them, and `pair.delta2(n)` carries its last two floors to n + 1.
-The public `delta2(alpha, n)` and `trichotomy_class(alpha, n)` build a new
-pair on every call, so loops over n should hold the pair.
+`BeattyPair` is the per-slope object: `conjugate_beatty(alpha)` builds one
+number, beta, and checks 1/alpha + 1/beta = 1 in integers; 1/alpha, {alpha},
+{beta} and the inverses of the last two cost one number each on first use and
+are kept.  `pair.delta2(n)` carries its last two floors to n + 1.  The public
+`delta2(alpha, n)` and `trichotomy_class(alpha, n)` build a new pair on every
+call (plus four numbers for the trichotomy), so loops over n should hold it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Tuple
@@ -174,6 +173,8 @@ class QuadraticNumber:
         return QuadraticNumber._new(-self.p, -self.q, self.r, self.D)
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return QuadraticNumber._new(self.p - other * self.r, self.q, self.r, self.D)
         pr = self._pair(other)
         if pr is None:
             return NotImplemented
@@ -183,6 +184,8 @@ class QuadraticNumber:
         )
 
     def __rsub__(self, other):
+        if isinstance(other, int):
+            return QuadraticNumber._new(other * self.r - self.p, -self.q, self.r, self.D)
         return -(self - other)
 
     def __mul__(self, other):
@@ -345,6 +348,20 @@ def fractional_part(x: QuadraticNumber) -> QuadraticNumber:
     return x - x.floor()
 
 
+class _Derived:
+    """Value built by `make(pair)` on first use and kept in the pair's dict,
+    which later reads hit first: a cached_property without its lock."""
+
+    def __init__(self, make):
+        self.make, self.name, self.__doc__ = make, make.__name__, make.__doc__
+
+    def __get__(self, pair, owner=None):
+        if pair is None:
+            return self
+        value = pair.__dict__[self.name] = self.make(pair)
+        return value
+
+
 @dataclass(frozen=True)
 class BeattyPair:
     """Slopes (alpha, beta) of a complementary Beatty pair: 1/alpha + 1/beta = 1.
@@ -364,29 +381,33 @@ class BeattyPair:
             raise ValueError(f"alpha must lie in (1, 2), got {a}")
         if not (2 < b):
             raise ValueError(f"beta must exceed 2, got {b}")
-        if a.inv() + b.inv() != 1:
+        if a.D != b.D and b.q != 0:
+            raise ValueError(f"mismatched radicands: {a.D} vs {b.D}")
+        # 1/alpha + 1/beta = 1 iff alpha + beta = alpha*beta, coordinatewise times a.r*b.r
+        if (a.p * b.r + b.p * a.r != a.p * b.p + a.q * b.q * a.D
+                or a.q * b.r + b.q * a.r != a.p * b.q + a.q * b.p):
             raise ValueError("1/alpha + 1/beta = 1 fails")
 
-    @cached_property
+    @_Derived
     def inv_alpha(self) -> QuadraticNumber:
         """1/alpha; floor((x+1)/alpha) counts the floor(n*alpha) at or below x."""
         return self.alpha.inv()
 
-    @cached_property
+    @_Derived
     def frac_alpha(self) -> QuadraticNumber:
         """{alpha} = alpha - 1."""
         return self.alpha - 1
 
-    @cached_property
+    @_Derived
     def frac_beta(self) -> QuadraticNumber:
         """{beta}."""
         return fractional_part(self.beta)
 
-    @cached_property
+    @_Derived
     def _inv_frac_alpha(self) -> QuadraticNumber:
         return self.frac_alpha.inv()
 
-    @cached_property
+    @_Derived
     def _inv_frac_beta(self) -> QuadraticNumber:
         return self.frac_beta.inv()
 
@@ -427,11 +448,14 @@ class BeattyPair:
 def conjugate_beatty(alpha: QuadraticNumber) -> BeattyPair:
     """Complete alpha in (1,2) to its complementary pair: beta = alpha/(alpha-1) = 1 + 1/(alpha-1).
 
-    BeattyPair validates alpha; the check here only keeps alpha - 1 nonzero.
+    For alpha = (p + q*sqrt(D))/r that is (den + r*(p-r) - r*q*sqrt(D))/den with
+    den = (p-r)^2 - q^2*D.  BeattyPair validates alpha; the check here keeps den != 0.
     """
     if alpha.q == 0:
         raise ValueError("alpha must be irrational")
-    return BeattyPair(alpha, (alpha - 1).inv() + 1)
+    p, q, r, D = alpha.p, alpha.q, alpha.r, alpha.D
+    den = (p - r) * (p - r) - q * q * D
+    return BeattyPair(alpha, QuadraticNumber._new(den + r * (p - r), -r * q, den, D))
 
 
 def _member(gamma: QuadraticNumber, inv_gamma: QuadraticNumber, n: int) -> bool:
@@ -504,20 +528,20 @@ def solve_unit_combination(
 ) -> Optional[Tuple[int, int]]:
     """Unique positive integers (p, q) with p*u + q*v = 1, if they exist.
 
-    Splitting into rational and sqrt(D) coordinates gives two rational linear
-    equations; the solution is accepted only when integral and positive.  A
-    singular system means u and v are rational multiples of each other, in
-    which case no solution exists for irrational u, v.
+    The rational and sqrt(D) coordinates give two linear equations, solved in
+    integers: p = v.q*u.r/det, q = -u.q*v.r/det, det = u.p*v.q - v.p*u.q, taken
+    only when integral and positive.  A singular system (u, v rational multiples
+    of each other) has no solution for irrational u, v.
     """
     if u.q == 0 or v.q == 0:
         raise ValueError("u and v must be irrational")
     if u.D != v.D:
         raise ValueError(f"mismatched radicands: {u.D} vs {v.D}")
-    det = Fraction(u.p, u.r) * Fraction(v.q, v.r) - Fraction(v.p, v.r) * Fraction(u.q, u.r)
+    det = u.p * v.q - v.p * u.q
     if det == 0:
         return None
-    p = Fraction(v.q, v.r) / det
-    q = -Fraction(u.q, u.r) / det
-    if p.denominator != 1 or q.denominator != 1 or p <= 0 or q <= 0:
+    p, p_rem = divmod(v.q * u.r, det)
+    q, q_rem = divmod(-u.q * v.r, det)
+    if p_rem or q_rem or p <= 0 or q <= 0:
         return None
-    return int(p), int(q)
+    return p, q

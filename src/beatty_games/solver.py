@@ -55,6 +55,7 @@ from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
 MAX_ORACLE_BOUND_ENV = "BEATTY_GAMES_MAX_ORACLE_BOUND"
 _DEFAULT_MAX_ORACLE_BOUND = 4096
 MAX_COUNT = 10**6  # pairs per generator call
+MAX_HORIZON = 1000  # detect_gap's reports grow as horizon^2: 10^5 at 1,000 for (5+sqrt(5))/5
 
 
 class HypothesisError(ValueError):
@@ -403,8 +404,8 @@ def detect_gap(alpha: QuadraticNumber, horizon: int) -> List[GapReport]:
     Works in the Beatty world: pairs are (floor(n*alpha), floor(n*beta)) and
     the constraint value at index m is delta2(alpha, m).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must be in [1, {MAX_HORIZON}], got {horizon}")
     a, b, f = zip(*_beatty_columns(alpha, horizon + 1))
     reports: List[GapReport] = []
     for n in range(2, horizon + 1):
@@ -498,10 +499,12 @@ def ptable_from_json(text: str) -> PTable:
     """Inverse of ptable_to_json; a malformed structure raises ValueError."""
     data = json.loads(text)
     try:
-        pairs = tuple((int(a), int(b)) for a, b in data["pairs"])
+        pairs = tuple((a, b) for a, b in data["pairs"])
         source = TableSource(data["source"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ptable: {exc}") from exc
+    if any(type(x) is not int for pair in pairs for x in pair):  # JSON true/false are bools
+        raise ValueError("malformed ptable: pair entries must be integers")
     return PTable(pairs, source)
 
 

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from beatty_games.classifier import (
+    MAX_FAMILY_BOUND,
     ClassificationResult,
     FamilyLabel,
     classification_from_json,
@@ -230,6 +233,13 @@ class TestEnumeration:
             values = {e - e_prev for e_prev, e in zip(gaps, gaps[1:])}
             assert values == {t}
 
+    def test_family_bound_cap(self):
+        assert MAX_FAMILY_BOUND >= 6  # the README example and the benchmark's 3/3/3
+        over = MAX_FAMILY_BOUND + 1
+        for bounds in ((over, 1, 1), (1, over, 1), (1, 1, over)):
+            with pytest.raises(ValueError, match=rf"^bounds must be in \[1, {MAX_FAMILY_BOUND}\]"):
+                enumerate_families(*bounds)
+
 
 class TestSerialization:
     def test_json_round_trip(self):
@@ -245,6 +255,18 @@ class TestSerialization:
     def test_malformed_json_is_a_value_error(self, text, message):
         with pytest.raises(ValueError, match=message):
             classification_from_json(text)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t", "x"), ("t", 1.0), ("p", True), ("q", [1]), ("beta_floor", "5"),
+        ("delta2_range", "12"), ("delta2_range", [1, 1.5]), ("delta2_range", [False]),
+        ("also_matches", "III"),
+    ])
+    def test_wrong_field_type_is_a_value_error(self, field, value):
+        # A float, a string or a boolean (JSON true/false) is not an integer.
+        data = {"family": "II", "delta2_range": [1], field: value}
+        with pytest.raises(ValueError) as exc:
+            classification_from_json(json.dumps(data))
+        assert str(exc.value) == f"malformed classification: {field} = {value!r}"
 
     def test_families_csv(self):
         entries = enumerate_families(3, 2, 2)

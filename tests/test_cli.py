@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from beatty_games.classifier import MAX_FAMILY_BOUND
 from beatty_games.cli import (
     EXIT_DIVERGENCE,
     EXIT_HYPOTHESIS,
@@ -245,6 +246,13 @@ def test_count_above_the_cap_exits_two(argv, capsys):
     assert run(argv + ["--count", str(10**9)]) == (EXIT_PARSE, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds the cap" in err
+
+
+@pytest.mark.parametrize("flag", ["--p-max", "--q-max", "--t-max"])
+def test_family_bound_above_the_cap_exits_two(flag, capsys):
+    assert run(["families", flag, str(MAX_FAMILY_BOUND + 1)]) == (EXIT_PARSE, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"[1, {MAX_FAMILY_BOUND}]" in err
 
 
 class TestPlay:

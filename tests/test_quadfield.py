@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv, mpf
 
 from beatty_games import quadfield
-from beatty_games.classifier import enumerate_families
+from beatty_games.classifier import classify_alpha, enumerate_families
 from beatty_games.quadfield import (
     MAX_RADICAND,
     BeattyPair,
@@ -269,8 +269,28 @@ class TestConjugate:
             conjugate_beatty(QuadraticNumber(1, 1, 1, 5))
 
     def test_pair_identity_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mismatched radicands: 5 vs 19$"):
             BeattyPair(PHI, QuadraticNumber(7, 1, 3, 19))
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        (QuadraticNumber.rational(3, 2, D=5), PHI + 1, "alpha must be irrational"),
+        (PHI + 1, PHI + 2, r"alpha must lie in \(1, 2\), got \(3\+1\*sqrt\(5\)\)/2"),
+        (QuadraticNumber(4, -1, 1, 2), QuadraticNumber(3, 1, 1, 2),
+         r"alpha must lie in \(1, 2\), got \(4-1\*sqrt\(2\)\)/1"),
+        (PHI, PHI, r"beta must exceed 2, got \(1\+1\*sqrt\(5\)\)/2"),
+        (PHI, QuadraticNumber.rational(2, D=5), r"beta must exceed 2, got \(2\+0\*sqrt\(1\)\)/1"),
+        (PHI, QuadraticNumber(7, 1, 3, 19), "mismatched radicands: 5 vs 19"),
+        # same field, but not phi's conjugate phi + 1: phi + 2 fails both
+        # coordinates of alpha + beta = alpha*beta, 4 + sqrt5 only the sqrt5
+        # one and 2 + sqrt5 only the rational one
+        (PHI, QuadraticNumber(5, 1, 2, 5), r"1/alpha \+ 1/beta = 1 fails"),
+        (PHI, QuadraticNumber(4, 1, 1, 5), r"1/alpha \+ 1/beta = 1 fails"),
+        (PHI, QuadraticNumber(2, 1, 1, 5), r"1/alpha \+ 1/beta = 1 fails"),
+        (PHI, QuadraticNumber.rational(5, 2, D=7), r"1/alpha \+ 1/beta = 1 fails"),
+    ])
+    def test_rejections_keep_their_messages(self, alpha, beta, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BeattyPair(alpha, beta)
 
 
 class TestFractionalPart:
@@ -367,6 +387,21 @@ class TestRayleigh:
             assert rayleigh_verify(conjugate_beatty(alpha), 2000)
 
 
+def _unit_combination_reference(u, v):
+    """The rational (p, q) with p*u + q*v = 1, by Fractions; None for a singular system."""
+    det = Fraction(u.p, u.r) * Fraction(v.q, v.r) - Fraction(v.p, v.r) * Fraction(u.q, u.r)
+    if det == 0:
+        return None
+    return Fraction(v.q, v.r) / det, -Fraction(u.q, u.r) / det
+
+
+@st.composite
+def _same_field_irrationals(draw):
+    d = draw(nonsquare)
+    coeffs = st.tuples(st.integers(-40, 40), st.integers(-15, 15).filter(bool), st.integers(1, 20))
+    return tuple(QuadraticNumber(p, q, r, d) for p, q, r in (draw(coeffs), draw(coeffs)))
+
+
 class TestUnitCombination:
     def test_sqrt19_solution(self):
         pair = conjugate_beatty(A19)
@@ -400,6 +435,36 @@ class TestUnitCombination:
     def test_singular_system_has_no_solution(self):
         x = fractional_part(PHI)
         assert solve_unit_combination(x, 2 * x) is None
+
+    # One system of each kind; test_examples_cover_each_kind checks the kinds.
+    SINGULAR = (QuadraticNumber(-1, 1, 2, 5), QuadraticNumber(-1, 1, 1, 5))  # v = 2u
+    NEGATIVE = (QuadraticNumber.sqrt(5), PHI)  # -1*u + 2*v = 1
+    # Integral in one unknown only: 1*u + (3/2)*v = 1 and (3/2)*u + 1*v = 1.
+    FRACTIONAL_Q = (QuadraticNumber(2, -3, 2, 5), QuadraticNumber.sqrt(5))
+    FRACTIONAL_P = (QuadraticNumber.sqrt(5), QuadraticNumber(2, -3, 2, 5))
+    POSITIVE = (QuadraticNumber(5, -1, 3, 19), QuadraticNumber(-4, 1, 1, 19))  # A19: (3, 1)
+
+    def test_examples_cover_each_kind(self):
+        assert _unit_combination_reference(*self.SINGULAR) is None
+        assert min(_unit_combination_reference(*self.NEGATIVE)) < 0
+        assert _unit_combination_reference(*self.FRACTIONAL_Q) == (1, Fraction(3, 2))
+        assert _unit_combination_reference(*self.FRACTIONAL_P) == (Fraction(3, 2), 1)
+        assert _unit_combination_reference(*self.POSITIVE) == (3, 1)
+
+    @given(_same_field_irrationals())
+    @example(SINGULAR)
+    @example(NEGATIVE)
+    @example(FRACTIONAL_Q)
+    @example(FRACTIONAL_P)
+    @example(POSITIVE)
+    def test_equals_the_fraction_reference(self, uv):
+        u, v = uv
+        solution = _unit_combination_reference(u, v)
+        accepted = solution is not None and all(x.denominator == 1 and x > 0 for x in solution)
+        got = solve_unit_combination(u, v)
+        assert got == (tuple(int(x) for x in solution) if accepted else None)
+        if got is not None:
+            assert got[0] * u + got[1] * v == 1
 
 
 def _criterion_10_slopes(k):
@@ -510,6 +575,69 @@ class TestPerSlope:
                 call()
         with pytest.raises(ValueError, match="delta2 is defined for n >= 1"):
             delta2(alpha, 0)
+
+
+class TestIntegerFormulas:
+    """The pair's coefficient formulas against the field arithmetic they replace."""
+
+    # Slopes (500000 + sqrt(D))/10^6, near 1.5, and (1 + sqrt(D))/10^6, just above
+    # 1 with beta near 10^6, for radicands just below the cap.
+    NEAR_CAP = [
+        QuadraticNumber(p, 1, 10**6, MAX_RADICAND - k) for k in (1, 7, 11) for p in (500000, 1)
+    ]
+
+    @staticmethod
+    def slopes():
+        box = [alpha for alpha, _ in enumerate_families(6, 6, 6)]
+        return [PHI, A55, A19, QuadraticNumber.sqrt(2)] + box + _criterion_10_slopes(20)
+
+    @pytest.mark.parametrize("near_cap", [False, True])
+    def test_pair_equals_the_arithmetic_chains(self, near_cap):
+        def same(x, y):
+            # Both sides in normal form, so equal coefficients mean equal values.
+            return (x.p, x.q, x.r, x.D) == (y.p, y.q, y.r, y.D)
+
+        def frac(x):
+            # Fraction operands take the generic path, not the int shortcut.
+            got = fractional_part(x)
+            assert same(got, x - Fraction(x.floor())), x
+            return got
+
+        one = Fraction(1)
+        for alpha in self.NEAR_CAP if near_cap else self.slopes():
+            pair = conjugate_beatty(alpha)
+            beta = (alpha - one).inv() + one
+            assert same(pair.beta, beta), alpha
+            assert alpha.inv() + beta.inv() == 1
+            assert same(pair.inv_alpha, alpha.inv()), alpha
+            assert same(pair.frac_alpha, frac(alpha)), alpha
+            assert same(pair.frac_beta, frac(beta)), alpha
+            assert same(pair._inv_frac_alpha, frac(alpha).inv()), alpha
+            assert same(pair._inv_frac_beta, frac(beta).inv()), alpha
+
+    def test_construction_counts(self, monkeypatch):
+        """Numbers built per call, counted at `_store`; the arithmetic chains
+        the pair replaced built 8 (conjugate_beatty, delta2), 14
+        (trichotomy_class) and 19 (classify_alpha)."""
+        made = [0]
+        store = quadfield._store
+
+        def counted(*args):
+            made[0] += 1
+            store(*args)
+
+        def built(call):
+            made[0] = 0
+            call()
+            return made[0]
+
+        slopes = self.slopes()
+        monkeypatch.setattr(quadfield, "_store", counted)
+        for alpha in slopes:
+            assert built(lambda: conjugate_beatty(alpha)) <= 1, alpha
+            assert built(lambda: delta2(alpha, 7)) <= 1, alpha
+            assert built(lambda: trichotomy_class(alpha, 7)) <= 5, alpha
+            assert built(lambda: classify_alpha(alpha)) <= 10, alpha
 
 
 class TestCopyAndPickle:

@@ -22,6 +22,7 @@ from beatty_games.solver import (
     GapReport,
     HypothesisError,
     MAX_COUNT,
+    MAX_HORIZON,
     MAX_ORACLE_BOUND_ENV,
     PTable,
     TableSource,
@@ -507,6 +508,13 @@ class TestDetectGap:
     def test_golden_t2_empty(self):
         assert detect_gap(SQRT2, 100) == []
 
+    def test_horizon_cap(self):
+        assert MAX_HORIZON >= 40  # the benchmark's survey horizon
+        assert detect_gap(A19, MAX_HORIZON) == []
+        message = rf"^horizon must be in \[1, {MAX_HORIZON}\], got {MAX_HORIZON + 1}$"
+        with pytest.raises(ValueError, match=message):
+            detect_gap(A19, MAX_HORIZON + 1)
+
     def test_gap_sizes_positive(self):
         for r in detect_gap(A55, 60):
             assert r.gap_size > 0
@@ -602,7 +610,13 @@ class TestSerialization:
         assert ptable_from_json(ptable_to_json(table)) == table
         assert ptable_from_json(ptable_to_json(table, alpha=None)) == table
 
-    @pytest.mark.parametrize("text", ["[1]", "{}", '{"pairs": [[0, 0]]}'])
+    @pytest.mark.parametrize("text", [
+        "[1]", "{}", '{"pairs": [[0, 0]]}',
+        # wrong field types: a float, a string or a boolean is not a pile size
+        '{"pairs": [[0, 0], [1.7, 3]], "source": "oracle"}',
+        '{"pairs": [[0, 0], ["1", 3]], "source": "oracle"}',
+        '{"pairs": [[0, 0], [1, true]], "source": "oracle"}',
+    ])
     def test_malformed_json_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="malformed ptable"):
             ptable_from_json(text)
