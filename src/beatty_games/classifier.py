@@ -79,7 +79,7 @@ def delta2_range(alpha: QuadraticNumber) -> frozenset:
 
 
 def _range_and_solutions(pair: BeattyPair):
-    """The delta2 range with both unit-combination solutions (ii, iii).
+    """The delta2 range, both unit-combination solutions (ii, iii) and floor(beta).
 
     ii solves p*(1-{beta}) + q*{alpha} = 1 and drops floor(beta)-2; iii
     solves p*{beta} + q*(1-{alpha}) = 1 and drops floor(beta).
@@ -93,7 +93,7 @@ def _range_and_solutions(pair: BeattyPair):
         values.add(bf)
     if ii is None:
         values.add(bf - 2)
-    return frozenset(values), ii, iii
+    return frozenset(values), ii, iii, bf
 
 
 def classify_alpha(alpha: QuadraticNumber) -> ClassificationResult:
@@ -107,8 +107,7 @@ def classify_alpha(alpha: QuadraticNumber) -> ClassificationResult:
 
 
 def _classify(pair: BeattyPair) -> ClassificationResult:
-    bf = pair.beta.floor()
-    rng, ii, iii = _range_and_solutions(pair)
+    rng, ii, iii, bf = _range_and_solutions(pair)
 
     diff = pair.beta - pair.alpha
     if diff.is_integer and diff.p >= 1:

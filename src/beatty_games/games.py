@@ -276,7 +276,9 @@ def constraint_from_dict(data: dict) -> ConstraintSpec:
         raise ValueError(f"unknown constraint kind: {kind!r}")
     try:
         if kind == "constant":
-            return Constant(int(data["t"]))
+            if type(data["t"]) is not int:  # JSON true/false are bools
+                raise TypeError("t must be an integer")
+            return Constant(data["t"])
         if kind in ("beatty", "target_beatty"):
             if not isinstance(data["alpha"], str):
                 raise TypeError("alpha must be a string")
@@ -284,10 +286,15 @@ def constraint_from_dict(data: dict) -> ConstraintSpec:
             return _CONSTRAINT_KINDS[kind](alpha)
         if kind == "parity_half":
             return ParityHalf()
-        entries = {(int(a), int(b), int(c)): int(v) for a, b, c, v in data["entries"]}
+        rows = [tuple(row) for row in data["entries"]]
+        if any(len(row) != 4 or any(type(x) is not int for x in row) for row in rows):
+            raise TypeError("table entries must be four integers")
+        strict = data.get("strict", False)
+        if type(strict) is not bool:
+            raise TypeError("strict must be a boolean")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {kind} constraint: {exc}") from exc
-    return ExplicitTable(entries, strict=bool(data.get("strict", False)))
+    return ExplicitTable({row[:3]: row[3] for row in rows}, strict=strict)
 
 
 def ruleset_to_json(rules: RuleSet) -> str:

@@ -9,8 +9,9 @@ Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
   least b >= a_n distinct from every prior b_k and outside one interval per
   prior pair in each orientation (d1, d2) with d1 < a_n, namely
   [max(d2+1, c-f+1), c+f-1] with c = a_n - d1 + d2 and f = f(d1, d2, a_n).
-  The constraint's shape picks the path; solve_doublemex's docstring gives
-  each path's rule and cost, and the MAX_COUNT cap every generator shares.
+  The constraint's shape picks the path, each in O(count) memory;
+  solve_doublemex's docstring gives each path's rule and cost, and the
+  MAX_COUNT cap every generator shares.
 * solve_relaxed      — the closed formula again, valid for relaxed Wythoff
   whenever f >= 0 and f evaluates to >= 1 at the first step.
 
@@ -36,8 +37,7 @@ import csv
 import io
 import itertools
 import json
-import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
@@ -52,8 +52,7 @@ from .games import (
 )
 from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
 
-MAX_ORACLE_BOUND_ENV = "BEATTY_GAMES_MAX_ORACLE_BOUND"
-_DEFAULT_MAX_ORACLE_BOUND = 4096
+MAX_ORACLE_BOUND = 4096  # board size; the oracle's time grows as bound * #P
 MAX_COUNT = 10**6  # pairs per generator call
 MAX_HORIZON = 1000  # detect_gap's reports grow as horizon^2: 10^5 at 1,000 for (5+sqrt(5))/5
 
@@ -129,10 +128,11 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     ORIGIN: f = f(a_n) is evaluated once per pair and the search runs in
     d = b - a_n.  Pair (0, 0) already covers [0, f-1], which holds every
     swapped interval.  Once a_n - a_k >= f, pair k's interval is the fixed
-    [e_k-f+1, e_k+f-1] with e_k = b_k - a_k; those enter a union-find "next
-    uncovered d" per value of f, and only the fewer than f younger pairs and
-    the used b's are checked one by one.  Near-linear for Constant and
-    BeattyDelta.
+    [e_k-f+1, e_k+f-1] with e_k = b_k - a_k; per value of f those merge
+    into sorted, disjoint covered runs of d, at most one per pair, where one
+    bisection finds the least uncovered d.  Only the fewer than f younger pairs
+    and the used b's are checked one by one.  Memory O(count); near-linear
+    time for Constant and BeattyDelta while f stays small.
 
     GAP_AFFINE, f = g(a_n) - (d2 - d1): every interval ends at
     c + f - 1 = a_n + g - 1, below a_n when g <= 0; when g >= 1, pair
@@ -158,37 +158,34 @@ def _check_count(count: int) -> None:
         raise ValueError(f"count {count} exceeds the cap {MAX_COUNT}")
 
 
-class _NextUncovered:
-    """Union-find over d >= 0: find(d) is the least uncovered d' >= d."""
+class _CoveredRuns:
+    """Covered d as sorted, disjoint, non-adjacent runs [lo, hi]."""
 
     def __init__(self):
-        self.parent: List[int] = []
+        self.los: List[int] = []
+        self.his: List[int] = []
         self.matured = 0  # pairs k < matured have their intervals covered
 
     def find(self, d: int) -> int:
-        parent = self.parent
-        root = d
-        while root < len(parent) and parent[root] != root:
-            root = parent[root]
-        while d < len(parent) and parent[d] != root:
-            parent[d], d = root, parent[d]
-        return root
+        """Least uncovered d' >= d; no run starts right after another ends."""
+        i = bisect_right(self.los, d) - 1
+        return self.his[i] + 1 if i >= 0 and d <= self.his[i] else d
 
     def cover(self, lo: int, hi: int) -> None:
-        parent = self.parent
-        if hi >= len(parent):
-            parent.extend(range(len(parent), hi + 2))
-        d = self.find(lo)
-        while d <= hi:
-            parent[d] = d + 1
-            d = self.find(d + 1)
+        los, his = self.los, self.his
+        i = bisect_left(his, lo - 1)  # runs i..j-1 overlap or touch [lo, hi]
+        j = bisect_right(los, hi + 1, i)
+        if i < j:
+            lo, hi = min(lo, los[i]), max(hi, his[j - 1])
+        los[i:j] = [lo]
+        his[i:j] = [hi]
 
 
 def _doublemex_origin_only(value, count: int) -> Tuple[Tuple[int, int], ...]:
     pairs = [(0, 0)]
     gaps = [0]  # e_k = b_k - a_k
     used = {0}  # above a_n these are all prior b_k
-    covers: Dict[int, _NextUncovered] = {}
+    covers: Dict[int, _CoveredRuns] = {}
     a = 0
     for _ in range(1, count):
         a += 1  # the mex only grows
@@ -199,16 +196,15 @@ def _doublemex_origin_only(value, count: int) -> Tuple[Tuple[int, int], ...]:
         if f is not None and f >= 1:
             cover = covers.get(f)
             if cover is None:
-                cover = covers[f] = _NextUncovered()
+                cover = covers[f] = _CoveredRuns()
             k = cover.matured
             while k < len(pairs) and a - pairs[k][0] >= f:
                 e = gaps[k]
-                cover.cover(max(0, e - f + 1), e + f - 1)
+                cover.cover(e - f + 1, e + f - 1)
                 k += 1
             cover.matured = k
             young = [
-                (max(0, gaps[j] + 1 - (a - pairs[j][0])), gaps[j] + f - 1)
-                for j in range(k, len(pairs))
+                (gaps[j] + 1 - (a - pairs[j][0]), gaps[j] + f - 1) for j in range(k, len(pairs))
             ]
             moved = True
             while moved:
@@ -320,12 +316,8 @@ def retrograde_oracle(rules: RuleSet, bound: int) -> Set[Position]:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    cap = int(os.environ.get(MAX_ORACLE_BOUND_ENV, _DEFAULT_MAX_ORACLE_BOUND))
-    if bound > cap:
-        raise ValueError(
-            f"oracle bound {bound} exceeds the memory guard {cap} "
-            f"(raise {MAX_ORACLE_BOUND_ENV} to override)"
-        )
+    if bound > MAX_ORACLE_BOUND:
+        raise ValueError(f"oracle bound {bound} exceeds the cap {MAX_ORACLE_BOUND}")
     relaxed = rules.family is Family.RELAXED
     return {Position(x, y) for x, y in _label_rows(rules.constraint.value, relaxed, bound)}
 

@@ -17,6 +17,7 @@ from beatty_games.classifier import (
     golden_alpha,
     inverse_solve,
 )
+from beatty_games import quadfield
 from beatty_games.games import BeattyDelta, Family
 from beatty_games.quadfield import QuadraticNumber, conjugate_beatty
 from beatty_games.solver import (
@@ -99,6 +100,21 @@ class TestClassify:
     def test_incompatible_fixtures(self):
         for alpha in INCOMPATIBLE:
             assert classify_alpha(alpha).family is FamilyLabel.INCOMPATIBLE
+
+    def test_floor_of_beta_taken_twice(self, monkeypatch):
+        # Once for the delta2 range and once for {beta}; the family reuses the first.
+        calls = []
+
+        def counting(gamma, n):
+            calls.append((gamma, n))
+            return beatty_floor(gamma, n)
+
+        monkeypatch.setattr(quadfield, "beatty_floor", counting)
+        for alpha in [PHI, A19, A55, QuadraticNumber(0, 1, 2, 6)] + INCOMPATIBLE:
+            beta = conjugate_beatty(alpha).beta
+            calls.clear()
+            classify_alpha(alpha)
+            assert calls.count((beta, 1)) == 2, alpha
 
     def test_compatibility_iff_inequality(self):
         candidates = [alpha for alpha, _ in enumerate_families(10, 10, 10)] + INCOMPATIBLE

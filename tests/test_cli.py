@@ -229,6 +229,11 @@ class TestRulesFile:
         {"family": "modified", "constraint": {"kind": "beatty", "alpha": 5}},
         {"family": "modified", "constraint": {"kind": "constant"}},
         {"family": "modified", "constraint": 7},
+        {"family": "modified", "constraint": {"kind": "constant", "t": 1.7}},
+        {"family": "modified", "constraint": {"kind": "constant", "t": True}},
+        {"family": "modified", "constraint": {"kind": "constant", "t": "3"}},
+        {"family": "modified", "constraint": {"kind": "table", "entries": [[0, 1.5, 2, 3]]}},
+        {"family": "modified", "constraint": {"kind": "table", "entries": [], "strict": "no"}},
     ])
     def test_malformed_rules_exit_two(self, tmp_path, data):
         path = tmp_path / "rules.json"
@@ -246,6 +251,12 @@ def test_count_above_the_cap_exits_two(argv, capsys):
     assert run(argv + ["--count", str(10**9)]) == (EXIT_PARSE, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds the cap" in err
+
+
+def test_oracle_bound_above_the_cap_exits_two(capsys):
+    assert run(["oracle", "--constant", "1", "--bound", "4097"]) == (EXIT_PARSE, "")
+    err = capsys.readouterr().err
+    assert err == "error: oracle bound 4097 exceeds the cap 4096\n"
 
 
 @pytest.mark.parametrize("flag", ["--p-max", "--q-max", "--t-max"])

@@ -23,7 +23,7 @@ from beatty_games.solver import (
     HypothesisError,
     MAX_COUNT,
     MAX_HORIZON,
-    MAX_ORACLE_BOUND_ENV,
+    MAX_ORACLE_BOUND,
     PTable,
     TableSource,
     compare_tables,
@@ -188,7 +188,7 @@ class TestDoubleMex:
         for _ in range(30):
             f = random_origin_f(rng, 400)
             fns.append(lambda x1, y1, x0, f=f: f[x0])
-        fns += [Constant(t).value for t in (1, 2, 3, 4, 7)]
+        fns += [Constant(t).value for t in (1, 2, 3, 4, 7, 40)]
         fns += [BeattyDelta(a).value for a in (A55, A19, PHI, SQRT2)]
         for fn in fns:
             fast = solve_doublemex(FnConstraint(fn, Shape.ORIGIN), 400)
@@ -252,6 +252,18 @@ class TestDoubleMex:
         finally:
             tracemalloc.stop()
         assert table.pairs == beatty_table(alpha, 2000).pairs
+        assert peak < 4 * 2**20, peak
+
+    def test_origin_only_memory_follows_count(self):
+        # Constant(t) covers d up to about count * t (10^6 here, 8 MiB as one
+        # dense list); the covered runs must not grow with it.
+        tracemalloc.start()
+        try:
+            table = solve_doublemex(Constant(250), 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.pairs == recurrence_closed(Constant(250), 4000).pairs
         assert peak < 4 * 2**20, peak
 
     def test_count_cap(self):
@@ -412,12 +424,11 @@ class TestOracle:
         assert Position(0, 0) in pset
         assert Position(0, 1) not in pset and Position(1, 1) not in pset
 
-    def test_memory_guard(self, monkeypatch):
-        monkeypatch.setenv(MAX_ORACLE_BOUND_ENV, "100")
+    def test_bound_cap(self):
         rules = RuleSet(Family.MODIFIED, Constant(1))
-        with pytest.raises(ValueError, match="memory guard"):
-            retrograde_oracle(rules, 101)
-        assert retrograde_oracle(rules, 100)
+        with pytest.raises(ValueError, match="oracle bound 4097 exceeds the cap 4096"):
+            retrograde_oracle(rules, MAX_ORACLE_BOUND + 1)
+        assert retrograde_oracle(rules, MAX_ORACLE_BOUND)
 
     def test_equals_doublemex_modified(self):
         bound = 80

@@ -1,7 +1,8 @@
 """The runtime is stdlib-only and exact: every source file of the package is
-scanned for imports from outside the standard library and for floats.  It is
-also scanned for imports it no longer reads, and the package must export
-exactly the names its __init__ imports."""
+scanned for imports from outside the standard library, for floats and for
+configuration read from the environment.  It is also scanned for imports it
+no longer reads, and the package must export exactly the names its __init__
+imports."""
 
 import ast
 import sys
@@ -12,12 +13,13 @@ import pytest
 import beatty_games
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "beatty_games"
-INEXACT_MATH = {"sqrt", "floor"}
+# Inexact math, and configuration read from the environment.
+FORBIDDEN_NAMES = {"math": {"sqrt", "floor"}, "os": {"environ", "getenv"}}
 
 
 def violations(source: str):
     """(line, what) for each third-party import, float literal, float() call,
-    math.sqrt / math.floor and ** 0.5 in the source."""
+    math.sqrt / math.floor, ** 0.5 and os.environ / os.getenv in the source."""
     out = []
     for node in ast.walk(ast.parse(source)):
         line = getattr(node, "lineno", 0)
@@ -25,8 +27,8 @@ def violations(source: str):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             modules = [] if node.level else [node.module]
-            if node.module == "math":
-                out += [(line, f"from math import {a.name}") for a in node.names if a.name in INEXACT_MATH]
+            forbidden = FORBIDDEN_NAMES.get(node.module, ())
+            out += [(line, f"from {node.module} import {a.name}") for a in node.names if a.name in forbidden]
         else:
             modules = []
         for module in modules:
@@ -40,10 +42,9 @@ def violations(source: str):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id == "math"
-            and node.attr in INEXACT_MATH
+            and node.attr in FORBIDDEN_NAMES.get(node.value.id, ())
         ):
-            out.append((line, f"math.{node.attr}"))
+            out.append((line, f"{node.value.id}.{node.attr}"))
         if (
             isinstance(node, ast.BinOp)
             and isinstance(node.op, ast.Pow)
@@ -73,6 +74,10 @@ def test_package_sources_are_stdlib_only_and_exact():
     "from math import sqrt",
     "from math import isqrt, floor",
     "y = 2 ** 0.5",
+    "import os\ncap = int(os.environ['CAP'])",
+    "import os\ncap = os.getenv('CAP')",
+    "from os import environ",
+    "from os import path, getenv",
 ])
 def test_scanner_flags_each_forbidden_form(source):
     assert violations(source)
@@ -83,6 +88,8 @@ def test_scanner_flags_each_forbidden_form(source):
     "from .quadfield import QuadraticNumber",
     "from beatty_games import cli",
     "from fractions import Fraction\nx = Fraction(1, 2) ** 2",
+    "import os\np = os.path.join('a', 'b')",
+    "from os import path",
 ])
 def test_scanner_accepts_exact_stdlib_code(source):
     assert violations(source) == []
