@@ -32,7 +32,7 @@ from .games import (
     ruleset_from_json,
     ruleset_to_json,
 )
-from .quadfield import QuadraticNumber, beatty_floor
+from .quadfield import QuadraticNumber
 from .solver import (
     HypothesisError,
     PTable,
@@ -162,11 +162,10 @@ def _cmd_inverse(args, out) -> int:
         table = solve_doublemex(constraint, args.count)
     else:
         table = solve_relaxed(constraint, args.count)
-    beta = constraint.pair.beta
     out.write(ruleset_to_json(rules) + "\n")
     out.write("n,a_n,b_n,floor_n_alpha,floor_n_beta\n")
-    for n, (a, b) in enumerate(table.pairs):
-        out.write(f"{n},{a},{b},{beatty_floor(alpha, n)},{beatty_floor(beta, n)}\n")
+    for n, ((a, b), fa, fb) in enumerate(zip(table.pairs, *constraint.pair._floors(len(table)))):
+        out.write(f"{n},{a},{b},{fa},{fb}\n")
     return EXIT_OK
 
 

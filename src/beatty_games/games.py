@@ -11,9 +11,9 @@ only afterwards is the destination sorted back to canonical order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
 
@@ -86,6 +86,22 @@ class Constant(ConstraintSpec):
         return {"t": self.t}
 
 
+# The row tables of BeattyDelta and TargetBeatty answer x0 up to this cap,
+# which covers every x0 a generator reaches at solver.MAX_COUNT pairs
+# (a_n < 2n); above it each call evaluates the exact expression.
+_TABLE_CAP = 2 * 10**6 + 2
+_FIRST_ROWS = 64
+_PLUS_ONE = bytes.maketrans(b"\0\1", b"\1\2")
+_TIMES_THREE = bytes.maketrans(b"\0\1", b"\0\3")
+
+
+def _rows_to_cover(rows: int, x0: int) -> int:
+    """Rows n < m for a table of rows n < `rows` to cover x0, whose cells end
+    at floor(m*alpha): at least twice as many rows, and x0 + 1, since
+    floor((x0+1)*alpha) > x0; at most _TABLE_CAP + 1."""
+    return min(max(2 * rows, x0 + 1, _FIRST_ROWS), _TABLE_CAP + 1)
+
+
 @dataclass(eq=True)
 class BeattyDelta(ConstraintSpec):
     """Second-difference constraint of the complementary pair with slope alpha.
@@ -93,26 +109,56 @@ class BeattyDelta(ConstraintSpec):
     The value at x0 is delta2(alpha, n) where n = floor((x0+1)/alpha) counts
     the lower-sequence elements at or below x0; on every floor(n*alpha) this
     is exactly the defining second difference.  `pair` is the slope's
-    `BeattyPair`, built once here.
+    `BeattyPair`, built once here.  Values are read from a table indexed by
+    x0, holding delta2(n) on [floor(n*alpha), floor((n+1)*alpha)), built
+    from the pair's step words (`BeattyPair._steps`) without an isqrt per
+    row and extended by doubling; above _TABLE_CAP each call takes four
+    exact floors instead, so memory stays bounded.
     """
 
     alpha: QuadraticNumber
-    _memo: Dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     kind = "beatty"
     shape = Shape.ORIGIN
 
     def __post_init__(self):
         self.pair = conjugate_beatty(self.alpha)  # validates alpha
+        self._table: List[Optional[int]] = [None]  # x0 = 0 has no value
+        self._rows = 1  # the table holds rows n < _rows
 
     def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
         if x0 < 1:
             raise ValueError("Beatty constraint undefined at x0 = 0")
-        got = self._memo.get(x0)
-        if got is None:
-            pair = self.pair
-            got = pair.delta2(beatty_floor(pair.inv_alpha, x0 + 1))
-            self._memo[x0] = got
-        return got
+        try:
+            return self._table[x0]
+        except IndexError:
+            return self._extend(x0)
+
+    def _extend(self, x0: int) -> Optional[int]:
+        pair = self.pair
+        if x0 > _TABLE_CAP:
+            return pair.delta2(beatty_floor(pair.inv_alpha, x0 + 1))
+        k, m = self._rows, _rows_to_cover(self._rows, x0)
+        (_, ua), (b, ub) = pair._steps(m)
+        # Row n >= 1 covers 1 + ua[n] cells from floor(n*alpha) on, each
+        # holding delta2(n) = b - 1 + ub[n-1] - ua[n-1].  One byte per row
+        # n = k .. m-1 codes that value as 1 + ub[n-1] - ua[n-1] in {0, 1, 2},
+        # plus 3 for a two-cell row; the replaces spell the rows out cell by
+        # cell.  The byte-wise sum is one big-int sum: no byte leaves 0..5,
+        # so no carry or borrow crosses bytes.
+        rows = (
+            int.from_bytes(ub[k - 1:m - 1].translate(_PLUS_ONE), "big")
+            - int.from_bytes(ua[k - 1:m - 1], "big")
+            + int.from_bytes(ua[k:m].translate(_TIMES_THREE), "big")
+        ).to_bytes(m - k, "big")
+        for wide, cells in ((b"\3", b"\0\0"), (b"\4", b"\1\1"), (b"\5", b"\2\2")):
+            rows = rows.replace(wide, cells)
+        values = (b - 2, b - 1, b)
+        if b < 256:  # extending a list by bytes appends their values
+            self._table += rows.translate(bytes.maketrans(b"\0\1\2", bytes(values)))
+        else:
+            self._table += [values[c] for c in rows]
+        self._rows = m
+        return self._table[x0]
 
     def params(self) -> dict:
         return {"alpha": str(self.alpha)}
@@ -125,26 +171,43 @@ class TargetBeatty(ConstraintSpec):
     Defined only when x0 = floor(n*alpha) for some n >= 1; from any other
     origin the diagonal move is disallowed.  It is gap-affine: the value is
     gap(x0) - (y1 - x1) with gap(x0) = floor(n*beta) - floor(n*alpha).
-    `pair` is the slope's `BeattyPair`, built once here.
+    `pair` is the slope's `BeattyPair`, built once here.  Gaps are read from
+    a table indexed by x0, holding floor(n*beta) - x0 at x0 = floor(n*alpha)
+    and None elsewhere, built from the pair's rows (`BeattyPair._floors`)
+    without an isqrt per row and extended by doubling; above _TABLE_CAP
+    each call takes three exact floors instead.
     """
 
     alpha: QuadraticNumber
-    _memo: Dict[int, Optional[int]] = field(default_factory=dict, repr=False, compare=False)
     kind = "target_beatty"
     shape = Shape.GAP_AFFINE
 
     def __post_init__(self):
         self.pair = conjugate_beatty(self.alpha)  # validates alpha
+        self._table: List[Optional[int]] = [None]  # x0 = 0 = floor(0*alpha)
+        self._rows = 1  # the table holds rows n < _rows
 
     def gap(self, x0: int) -> Optional[int]:
-        memo = self._memo
-        if x0 not in memo:
-            n = beatty_floor(self.pair.inv_alpha, x0 + 1)
-            if n >= 1 and beatty_floor(self.alpha, n) == x0:
-                memo[x0] = beatty_floor(self.pair.beta, n) - x0
-            else:
-                memo[x0] = None
-        return memo[x0]
+        if x0 < 0:
+            return None
+        try:
+            return self._table[x0]
+        except IndexError:
+            return self._extend(x0)
+
+    def _extend(self, x0: int) -> Optional[int]:
+        pair = self.pair
+        if x0 > _TABLE_CAP:
+            n = beatty_floor(pair.inv_alpha, x0 + 1)
+            return beatty_floor(pair.beta, n) - x0 if beatty_floor(self.alpha, n) == x0 else None
+        k, m = self._rows, _rows_to_cover(self._rows, x0)
+        fa, fb = map(list, pair._floors(m + 1))
+        table = self._table
+        table += [None] * (fa[m] - fa[k])
+        for a, b in zip(fa[k:m], fb[k:m]):
+            table[a] = b - a
+        self._rows = m
+        return table[x0]
 
     def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
         g = self.gap(x0)

@@ -16,9 +16,14 @@ sign of a numerator without building the difference.
 `BeattyPair` is the per-slope object: `conjugate_beatty(alpha)` builds one
 number, beta, and checks 1/alpha + 1/beta = 1 in integers; 1/alpha, {alpha},
 {beta} and the inverses of the last two cost one number each on first use and
-are kept.  `pair.delta2(n)` carries its last two floors to n + 1.  The public
-`delta2(alpha, n)` and `trichotomy_class(alpha, n)` build a new pair on every
-call (plus four numbers for the trichotomy), so loops over n should hold it.
+are kept.  `pair.delta2(n)` and `pair.trichotomy(n)` take random-access
+floors by isqrt.  Sequential rows come from the continued fractions instead:
+the PQa recurrence expands alpha and beta with one isqrt each, and the steps
+of floor(n*x) are the characteristic Sturmian word of {x}, built as bytes from
+standard words; `pair._floors(m)` sums them into floor(n*alpha) and
+floor(n*beta) for n < m with no isqrt per row.  The public `delta2(alpha, n)`
+and `trichotomy_class(alpha, n)` build a new pair on every call (plus four
+numbers for the trichotomy), so loops over n should hold it.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, takewhile
 from math import gcd, isqrt
-from typing import Optional, Tuple
+from operator import add
+from typing import Iterator, Optional, Tuple
 
 
 # Trial division in _square_free takes at most sqrt(MAX_RADICAND) = 10**6 steps.
@@ -411,26 +418,32 @@ class BeattyPair:
     def _inv_frac_beta(self) -> QuadraticNumber:
         return self.frac_beta.inv()
 
-    # (n, floor(n*alpha), floor(n*beta)) of the last delta2 call; replaced
-    # whole, so a reader never sees the floors of one n with another n.
-    _carry = (0, 0, 0)
-
     def delta2(self, n: int) -> int:
         """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha)).
 
-        The pair carries n, floor(n*alpha) and floor(n*beta) from its last
-        call, so a call at the next n takes two exact floors instead of four;
-        any other call takes four.  The value does not depend on call order.
+        Four exact floors, for random access; sequential consumers read
+        `_floors`.
         """
         if n < 1:
             raise ValueError("delta2 is defined for n >= 1")
         a, b = self.alpha, self.beta
-        last, fa0, fb0 = self._carry
-        if n != last + 1:
-            fa0, fb0 = beatty_floor(a, n - 1), beatty_floor(b, n - 1)
-        fa, fb = beatty_floor(a, n), beatty_floor(b, n)
-        self.__dict__["_carry"] = (n, fa, fb)
-        return (fb - fb0) - (fa - fa0)
+        return (beatty_floor(b, n) - beatty_floor(b, n - 1)) - (
+            beatty_floor(a, n) - beatty_floor(a, n - 1)
+        )
+
+    def _steps(self, m: int) -> Tuple[Tuple[int, bytes], Tuple[int, bytes]]:
+        """(floor(x), steps) for x = alpha and x = beta, from x's continued
+        fraction: byte k < m of steps is floor((k+1)*x) - floor(k*x) - floor(x),
+        0 or 1.  No isqrt per row."""
+        return _step_word(self.alpha, m), _step_word(self.beta, m)
+
+    def _floors(self, m: int) -> Tuple[Iterator[int], ...]:
+        """Iterators over floor(n*alpha) and floor(n*beta) for n < m, the
+        running sums of `_steps`."""
+        return tuple(
+            map(add, accumulate(steps, initial=0), range(0, whole * m, whole))
+            for whole, steps in self._steps(m - 1)
+        )
 
     def trichotomy(self, n: int) -> Trichotomy:
         """Classify n by membership in X = {floor(m/{alpha})} and Y = {floor(m/{beta})}.
@@ -443,6 +456,48 @@ class BeattyPair:
         if in_x == in_y:
             return Trichotomy.ZERO
         return Trichotomy.PLUS if in_y else Trichotomy.MINUS
+
+
+def _partial_quotients(x: QuadraticNumber) -> Iterator[int]:
+    """Continued fraction a_0, a_1, ... of an irrational x, by the PQa
+    recurrence: x_i = (P + sqrt(d))/Q with Q dividing d - P*P, so one isqrt
+    of d serves every term."""
+    p, q, r = x.p, x.q, x.r
+    if q < 0:
+        p, r = -p, -r  # (p - |q|*sqrt(D))/r = (-p + |q|*sqrt(D))/(-r)
+    # x = (p*|r| + sqrt(q*q*D*r*r))/(r*|r|), whose Q divides d - P*P.
+    d, P, Q = q * q * x.D * r * r, p * abs(r), r * abs(r)
+    s = isqrt(d)  # d is not a square, so floor((P + sqrt(d))/Q) needs s alone
+    while True:
+        a = (P + s + (Q < 0)) // Q
+        yield a
+        P = a * Q - P
+        Q = (d - P * P) // Q
+
+
+def _step_word(x: QuadraticNumber, m: int) -> Tuple[int, bytes]:
+    """floor(x) and the bytes floor((k+1)*x) - floor(k*x) - floor(x), k < m, of an irrational x > 0.
+
+    The steps are those of {x}: 0 at k = 0, then the characteristic word of
+    {x} = [0; a_1, a_2, ...], the limit of the standard words s_{-1} = 1,
+    s_0 = 0, s_1 = s_0^(a_1 - 1) s_{-1}, s_j = s_{j-1}^(a_j) s_{j-2}
+    (Lothaire, Algebraic Combinatorics on Words, ch. 2), each a prefix of
+    the next from s_1 on.  A repetition that reaches m letters is cut there,
+    so a huge partial quotient costs no more than a small one.
+    """
+    quotients = _partial_quotients(x)
+    whole = next(quotients)
+    need = m - 1  # letters after the leading 0
+    prev, word = b"\1", b"\0"
+    reps = next(quotients) - 1
+    while len(word) * reps < need:
+        prev, word = word, word * reps + prev
+        if len(word) >= need:
+            break
+        reps = next(quotients)
+    else:
+        word *= -(-need // len(word))
+    return whole, (b"\0" + word)[:m]
 
 
 def conjugate_beatty(alpha: QuadraticNumber) -> BeattyPair:
@@ -512,14 +567,10 @@ def rayleigh_verify(pair: BeattyPair, limit: int) -> bool:
     if limit < 0:
         raise ValueError("limit must be non-negative")
     hits = bytearray(limit + 1)
-    for gamma in (pair.alpha, pair.beta):
-        n = 0
-        while True:
-            v = beatty_floor(gamma, n)
-            if v > limit:
-                break
+    # floor((limit+1)*gamma) > limit, and each row of floors increases
+    for row in pair._floors(limit + 2):
+        for v in takewhile(limit.__ge__, row):
             hits[v] += 1
-            n += 1
     return hits[0] == 2 and all(h == 1 for h in hits[1:])
 
 

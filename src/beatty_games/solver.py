@@ -12,8 +12,11 @@ Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
   The constraint's shape picks the path, each in O(count) memory;
   solve_doublemex's docstring gives each path's rule and cost, and the
   MAX_COUNT cap every generator shares.
-* solve_relaxed      — the closed formula again, valid for relaxed Wythoff
-  whenever f >= 0 and f evaluates to >= 1 at the first step.
+* solve_relaxed      — the closed formula again, for relaxed Wythoff.  Its
+  checks require f >= 0 and f >= 1 at the first step; that is not enough
+  (f = 3, 2, 3, 2, 3, 3, 3, 3, 1, ... gives (9, 27) where the P-position
+  is (9, 24)).  Randomised probes support a sufficient condition for an
+  origin-only f: f falls by at most 1 between consecutive visited rows.
 
 The two recurrences run one loop, `_recurrence`, and differ only in their
 hypothesis checks: the closed one refuses an undefined f (ValueError), the
@@ -40,6 +43,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter, sub
 from typing import Dict, List, Optional, Set, Tuple
 
 from .games import (
@@ -50,7 +54,7 @@ from .games import (
     RuleSet,
     Shape,
 )
-from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
+from .quadfield import QuadraticNumber, conjugate_beatty
 
 MAX_ORACLE_BOUND = 4096  # board size; the oracle's time grows as bound * #P
 MAX_COUNT = 10**6  # pairs per generator call
@@ -90,10 +94,11 @@ class PTable:
             ties += b == a
             prev_a = a
         if self.source in (TableSource.DOUBLE_MEX, TableSource.RELAXED_RECURRENCE):
-            # No value repeats iff the values, a tie counted once, are all
-            # distinct (0 is only in the terminal pair: a_n > 0 for n >= 1).
-            # The walk only names the repeated value.
-            if len(set(itertools.chain.from_iterable(self.pairs))) == 2 * len(self.pairs) - ties:
+            # The a's are distinct, so no value repeats iff the b's are
+            # distinct and the only a's among them are ties.  The walk only
+            # names the repeated value.
+            bs = set(map(itemgetter(1), self.pairs))
+            if len(bs) == len(self.pairs) and len(bs.intersection(map(itemgetter(0), self.pairs))) == ties:
                 return
             seen: Set[int] = set()
             for a, b in self.pairs[1:]:
@@ -252,10 +257,14 @@ def _doublemex_gap_affine(gap, count: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def solve_relaxed(constraint: ConstraintSpec, count: int) -> PTable:
-    """P-positions of relaxed Wythoff via b_n = f + b_{n-1} + a_n - a_{n-1}.
+    """Pairs of relaxed Wythoff via b_n = f + b_{n-1} + a_n - a_{n-1}.
 
-    Checks the validity hypotheses on every visited value: f >= 0 throughout
-    and f >= 1 at the first step (x0 = 1).  Raises HypothesisError otherwise.
+    Checks f >= 0 on every visited value and f >= 1 at the first step
+    (x0 = 1), raising HypothesisError otherwise.  Passing them does not make
+    the pairs P-positions.  For an origin-only f, randomised probes against
+    the retrograde oracle's rule support a sufficient condition: in addition,
+    f(a_n) >= f(a_{n-1}) - 1 at every step.  A larger fall can give a wrong
+    pair.
     """
     return PTable(_recurrence(constraint.value, count, True), TableSource.RELAXED_RECURRENCE)
 
@@ -277,19 +286,20 @@ def _recurrence(value, count: int, relaxed: bool) -> Tuple[Tuple[int, int], ...]
         while a in used:
             a += 1
         f = value(a_prev, b_prev, a)
-        if f is None:
-            if not relaxed:
-                raise ValueError(f"constraint undefined at ({a_prev}, {b_prev}, {a})")
-            f = 0
-        if relaxed and f < 1:
-            if f < 0:
-                raise HypothesisError(f"constraint is negative ({f}) at x0 = {a}")
-            if n == 1:
-                raise HypothesisError("constraint must be >= 1 at x0 = 1")
-        b = f + b_prev + a - a_prev
-        add(b)
-        append((a, b))
-        a_prev, b_prev = a, b
+        if f is None or f < 1:  # one test on the common path
+            if f is None:
+                if not relaxed:
+                    raise ValueError(f"constraint undefined at ({a_prev}, {b_prev}, {a})")
+                f = 0
+            if relaxed:
+                if f < 0:
+                    raise HypothesisError(f"constraint is negative ({f}) at x0 = {a}")
+                if n == 1:
+                    raise HypothesisError("constraint must be >= 1 at x0 = 1")
+        b_prev += f + a - a_prev
+        add(b_prev)
+        append((a, b_prev))
+        a_prev = a
     return tuple(pairs)
 
 
@@ -421,14 +431,9 @@ CSV_COLUMNS = ["n", "a_n", "b_n", "floor_n_alpha", "floor_n_beta", "delta2"]
 
 def _beatty_columns(alpha: QuadraticNumber, count: int):
     """(floor(n*alpha), floor(n*beta), delta2(n)) per row; delta2 is None at n = 0."""
-    beta = conjugate_beatty(alpha).beta
-    rows = []
-    fa0 = fb0 = 0
-    for n in range(count):
-        fa, fb = beatty_floor(alpha, n), beatty_floor(beta, n)
-        rows.append((fa, fb, (fb - fb0) - (fa - fa0) if n >= 1 else None))
-        fa0, fb0 = fa, fb
-    return rows
+    fa, fb = map(list, conjugate_beatty(alpha)._floors(count))
+    gaps = list(map(sub, fb, fa))
+    return list(zip(fa, fb, [None, *map(sub, gaps[1:], gaps)]))
 
 
 def ptable_to_csv(table: PTable, alpha: Optional[QuadraticNumber] = None) -> str:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from beatty_games import games, quadfield
 from beatty_games.games import (
     BeattyDelta,
     Constant,
@@ -18,6 +21,7 @@ from beatty_games.games import (
     ruleset_to_json,
 )
 from beatty_games.quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
+from beatty_games.solver import MAX_COUNT, solve_relaxed
 
 PHI = QuadraticNumber(1, 1, 2, 5)
 A55 = QuadraticNumber(5, 1, 5, 5)
@@ -76,6 +80,73 @@ class TestEvalConstraint:
         strict = ExplicitTable({(1, 2, 3): 4}, strict=True)
         with pytest.raises(KeyError):
             strict.value(0, 0, 3)
+
+
+def exact_delta(pair, x0):
+    """BeattyDelta's value at x0 by exact floors: delta2(floor((x0+1)/alpha))."""
+    return pair.delta2(beatty_floor(pair.inv_alpha, x0 + 1))
+
+
+def exact_gap(pair, x0):
+    """TargetBeatty's gap at x0 by exact floors."""
+    n = beatty_floor(pair.inv_alpha, x0 + 1)
+    return beatty_floor(pair.beta, n) - x0 if n >= 1 and beatty_floor(pair.alpha, n) == x0 else None
+
+
+class TestRowTables:
+    """BeattyDelta and TargetBeatty read a per-x0 table built from the rows."""
+
+    SLOPES = [
+        PHI, A55, A19, QuadraticNumber.sqrt(2),
+        QuadraticNumber(10**9, 1, 10**9, 2),  # beta about 7*10^8
+        QuadraticNumber(2 * 10**9, -1, 10**9, 2),  # {beta} about 1.4*10^-9
+    ]
+    READS = [
+        (BeattyDelta, lambda spec, x0: spec.value(0, 0, x0), exact_delta),
+        (TargetBeatty, TargetBeatty.gap, exact_gap),
+    ]
+
+    @pytest.mark.parametrize("kind, read, exact", READS)
+    def test_three_blocks_equal_the_exact_expressions(self, kind, read, exact):
+        for alpha in self.SLOPES:
+            spec = kind(alpha)
+            builds = x0 = 0
+            while builds < 3 or x0 < len(spec._table) - 1:
+                x0 += 1
+                size = len(spec._table)
+                assert read(spec, x0) == exact(spec.pair, x0), (alpha, x0)
+                builds += len(spec._table) != size
+            assert builds == 3, alpha
+
+    @pytest.mark.parametrize("kind, read, exact", READS)
+    def test_random_order_and_above_the_cap(self, kind, read, exact):
+        rng = random.Random(20261018)
+        cap = games._TABLE_CAP
+        for alpha in self.SLOPES:
+            spec = kind(alpha)
+            for x0 in (cap + 1, cap + 12345, 10**12):
+                assert read(spec, x0) == exact(spec.pair, x0), (alpha, x0)
+            assert spec._table == [None]  # nothing stored above the cap
+            for x0 in rng.sample(range(1, 5000), 400) + [cap + 7]:
+                assert read(spec, x0) == exact(spec.pair, x0), (alpha, x0)
+
+    def test_cap_covers_every_generator_call(self):
+        # a_n, the mex of 2n - 1 values, is at most 2n - 1
+        assert games._TABLE_CAP >= 2 * MAX_COUNT + 2
+
+    def test_relaxed_recurrence_takes_no_floor_per_row(self, monkeypatch):
+        calls = [0]
+
+        def counting(gamma, n):
+            calls[0] += 1
+            return beatty_floor(gamma, n)
+
+        for module in (quadfield, games):
+            monkeypatch.setattr(module, "beatty_floor", counting)
+        table = solve_relaxed(BeattyDelta(A19), 10**4)
+        assert calls[0] <= 8, calls[0]
+        beta = conjugate_beatty(A19).beta
+        assert table.pairs == tuple((beatty_floor(A19, n), beatty_floor(beta, n)) for n in range(10**4))
 
 
 class TestLegalMoves:

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import itertools
 import operator
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -522,22 +524,12 @@ class TestPerSlope:
                 (a1, b1), (a0, b0) = floors[n], floors[n - 1]
                 assert delta2(alpha, n) == pair.delta2(n) == (b1 - b0) - (a1 - a0), (alpha, n)
 
-    def test_delta2_carry_in_any_order(self, monkeypatch):
-        """Runs of consecutive n, repeats and jumps, interleaved over two pairs.
-
-        Every value matches the definition, and a call at the pair's last
-        n + 1 takes two exact floors where any other call takes four.
-        """
+    def test_delta2_in_any_order(self):
+        """Runs of consecutive n, repeats and jumps, interleaved over two
+        pairs: every call equals the definition."""
         rng = random.Random(20261018)
         pairs = [conjugate_beatty(A19), conjugate_beatty(QuadraticNumber.sqrt(2))]
         last = {id(pair): 0 for pair in pairs}
-        floors = []
-
-        def counting(gamma, n):
-            floors.append(n)
-            return beatty_floor(gamma, n)
-
-        monkeypatch.setattr(quadfield, "beatty_floor", counting)
         for _ in range(600):
             pair = rng.choice(pairs)
             prev = last[id(pair)]
@@ -552,9 +544,7 @@ class TestPerSlope:
             want = (beatty_floor(b, n) - beatty_floor(b, n - 1)) - (
                 beatty_floor(a, n) - beatty_floor(a, n - 1)
             )
-            floors.clear()
             assert pair.delta2(n) == want, (a, n, prev)
-            assert len(floors) == (2 if n == prev + 1 else 4), (a, n, prev)
             last[id(pair)] = n
 
     @pytest.mark.parametrize("alpha, message", [
@@ -638,6 +628,49 @@ class TestIntegerFormulas:
             assert built(lambda: delta2(alpha, 7)) <= 1, alpha
             assert built(lambda: trichotomy_class(alpha, 7)) <= 5, alpha
             assert built(lambda: classify_alpha(alpha)) <= 10, alpha
+
+
+class TestRows:
+    """Floors from the continued fraction against the isqrt floors."""
+
+    TOP = 10**4
+
+    def test_partial_quotients(self):
+        def head(x, k):
+            return list(itertools.islice(quadfield._partial_quotients(x), k))
+
+        assert head(PHI, 6) == [1] * 6
+        assert head(QuadraticNumber.sqrt(2), 6) == [1, 2, 2, 2, 2, 2]
+        assert head(A19, 8) == [1, 2, 1, 3, 1, 2, 8, 2]  # sqrt(19) = [4; 2, 1, 3, 1, 2, 8]
+        assert head(conjugate_beatty(A55).beta, 4) == [3, 4, 4, 4]  # 1 + sqrt(5)
+        assert head(QuadraticNumber(10**9, 1, 10**9, 2), 2) == [1, 707106781]
+
+    def test_rows_equal_beatty_floor(self):
+        slopes = TestIntegerFormulas.slopes() + TestIntegerFormulas.NEAR_CAP
+        for alpha in slopes:
+            pair = conjugate_beatty(alpha)
+            fa, fb = map(list, pair._floors(self.TOP + 1))
+            assert fa == [beatty_floor(alpha, n) for n in range(self.TOP + 1)], alpha
+            assert fb == [beatty_floor(pair.beta, n) for n in range(self.TOP + 1)], alpha
+            for m in range(4):
+                assert [list(row) for row in pair._floors(m)] == [fa[:m], fb[:m]], (alpha, m)
+                assert [len(steps) for _, steps in pair._steps(m)] == [m, m]
+
+    @pytest.mark.parametrize("alpha", [
+        QuadraticNumber(10**9, 1, 10**9, 2),  # {alpha} = [0; 707106781, ...]
+        QuadraticNumber(2 * 10**9, -1, 10**9, 2),  # {beta} = [0; 707106780, ...]
+    ])
+    def test_huge_partial_quotient_costs_nothing(self, alpha):
+        pair = conjugate_beatty(alpha)
+        tracemalloc.start()
+        try:
+            fa, fb = map(list, pair._floors(1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fa == [beatty_floor(alpha, n) for n in range(1000)]
+        assert fb == [beatty_floor(pair.beta, n) for n in range(1000)]
+        assert peak < 2**20, peak
 
 
 class TestCopyAndPickle:

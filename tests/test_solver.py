@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -26,6 +27,7 @@ from beatty_games.solver import (
     MAX_ORACLE_BOUND,
     PTable,
     TableSource,
+    _label_rows,
     compare_tables,
     detect_gap,
     oracle_table,
@@ -294,6 +296,34 @@ class TestRelaxed:
         # None reads as 0, so the first-step check still refuses it
         with pytest.raises(HypothesisError, match=r"^constraint must be >= 1 at x0 = 1$"):
             solve_relaxed(ExplicitTable({}), 3)
+
+    # f(x0) for x0 = 1, 2, ...: on the rows the recurrence visits (1, 2, 3, 5,
+    # 6, 8, 9) it falls from 3 at x0 = 8 to 1 at x0 = 9.
+    FALL_BY_TWO = [3, 2, 3, 2, 3, 3, 3, 3] + [1] * 20
+
+    def test_a_fall_by_two_breaks_the_recurrence(self):
+        spec = FnConstraint(lambda x1, y1, x0: self.FALL_BY_TWO[x0 - 1], Shape.ORIGIN)
+        assert solve_relaxed(spec, 12).pairs[7] == (9, 27)
+        truth = naive_p_positions(RuleSet(Family.RELAXED, spec), 24)
+        assert Position(9, 24) in truth
+        assert list(itertools.islice(_label_rows(spec.value, True), 12))[7] == (9, 24)
+
+    def test_recurrence_is_exact_when_f_falls_by_at_most_one(self):
+        """Random origin-only f, drawn along the visited rows: f >= 1 at the
+        first step, and each visited row's f is at least the last one's minus 1."""
+        rng = random.Random(20261019)
+        for _ in range(300):
+            top = rng.choice((1, 2, 3, 5, 9))
+            drawn = {}
+
+            def value(x1, y1, x0):
+                if x0 not in drawn:
+                    low = max(drawn[max(drawn)] - 1, 0) if drawn else 1
+                    drawn[x0] = rng.randint(low, max(low, top))
+                return drawn[x0]
+
+            got = solve_relaxed(FnConstraint(value, Shape.ORIGIN), 60).pairs
+            assert got == tuple(itertools.islice(_label_rows(value, True), 60)), drawn
 
     def test_complementary_and_monotone(self):
         for spec in (BeattyDelta(A55), BeattyDelta(A19), Constant(3)):
