@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 divergence found by `verify`, 2 argument/parse
 failure, 3 generator hypothesis violation.
+
+`main(argv, out=...)` may be called repeatedly in one process.  The argument
+grammar is built on the first call and reused by every later one; no result
+is kept between calls.  In-process, an argv that argparse rejects raises
+`SystemExit(2)` (and `--help` raises `SystemExit(0)`) where a process would
+exit with that code.
 """
 
 from __future__ import annotations
@@ -348,10 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # main's grammar, built on its first call
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
+    global _parser
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args, out)
     except HypothesisError as exc:

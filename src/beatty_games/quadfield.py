@@ -124,6 +124,8 @@ class QuadraticNumber:
         q = int(m.group(3)) * (-1 if m.group(2) == "-" else 1)
         d = int(m.group(4))
         r = int(m.group(5))
+        if r == 0:
+            raise ValueError(f"zero denominator: {text!r}")
         return cls(p, q, r, d)
 
     def __str__(self) -> str:

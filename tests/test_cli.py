@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -7,7 +9,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
+from beatty_games import cli
 from beatty_games.classifier import MAX_FAMILY_BOUND
 from beatty_games.cli import (
     EXIT_DIVERGENCE,
@@ -177,37 +181,91 @@ class TestFamilies:
         assert any(line.startswith("II,3,1,3,-3,1,1,19") for line in text.splitlines())
 
 
-def test_golden_outputs_are_byte_exact(tmp_path):
-    cases = {
-        "gen_beatty_a55.csv": ["gen", "--beatty", A55_TEXT, "--count", "10"],
-        "gen_beatty_a55_closed.csv": ["gen", "--beatty", A55_TEXT, "--count", "10", "--closed"],
-        "gen_parity_half_50.csv": ["gen", "--family", "modified", "--parity-half", "--count", "50"],
-        "inverse_a55.txt": ["inverse", "--alpha", A55_TEXT, "--count", "10"],
-        "classify_phi.txt": ["classify", "--alpha", PHI_TEXT],
-        "classify_a55.json": ["classify", "--alpha", A55_TEXT, "--json"],
-        "families_333.csv": ["families", "--p-max", "3", "--q-max", "3", "--t-max", "3"],
-        "verify_a55.txt": ["verify", "--family", "modified", "--beatty", A55_TEXT,
-                           "--count", "10", "--bound", "30"],
-        "oracle_parity_half_50.csv": ["oracle", "--family", "modified", "--parity-half",
-                                      "--bound", "50"],
-    }
-    # These are written to the --output file, which is read back.
-    written = {
-        "gen_beatty_a55.json": ["gen", "--beatty", A55_TEXT, "--count", "10"],
-        "gen_parity_half_50.json": ["gen", "--family", "modified", "--parity-half",
-                                    "--count", "50"],
-        "oracle_parity_half_50.json": ["oracle", "--family", "modified", "--parity-half",
-                                       "--bound", "50"],
-    }
-    exit_codes = {"verify_a55.txt": EXIT_DIVERGENCE}
-    for name, argv in cases.items():
-        code, out = run(argv)
-        assert code == exit_codes.get(name, EXIT_OK), name
-        assert out.encode() == (GOLDEN / name).read_bytes(), name
-    for name, argv in written.items():
+GOLDEN_CASES = {
+    "gen_beatty_a55.csv": ["gen", "--beatty", A55_TEXT, "--count", "10"],
+    "gen_beatty_a55_closed.csv": ["gen", "--beatty", A55_TEXT, "--count", "10", "--closed"],
+    "gen_parity_half_50.csv": ["gen", "--family", "modified", "--parity-half", "--count", "50"],
+    "inverse_a55.txt": ["inverse", "--alpha", A55_TEXT, "--count", "10"],
+    "classify_phi.txt": ["classify", "--alpha", PHI_TEXT],
+    "classify_a55.json": ["classify", "--alpha", A55_TEXT, "--json"],
+    "families_333.csv": ["families", "--p-max", "3", "--q-max", "3", "--t-max", "3"],
+    "verify_a55.txt": ["verify", "--family", "modified", "--beatty", A55_TEXT,
+                       "--count", "10", "--bound", "30"],
+    "oracle_parity_half_50.csv": ["oracle", "--family", "modified", "--parity-half",
+                                  "--bound", "50"],
+}
+# These are written to the --output file, which is read back.
+GOLDEN_WRITTEN = {
+    "gen_beatty_a55.json": ["gen", "--beatty", A55_TEXT, "--count", "10"],
+    "gen_parity_half_50.json": ["gen", "--family", "modified", "--parity-half",
+                                "--count", "50"],
+    "oracle_parity_half_50.json": ["oracle", "--family", "modified", "--parity-half",
+                                   "--bound", "50"],
+}
+
+
+def check_golden(name, tmp_path):
+    """Run the CLI case behind one golden file and compare the bytes."""
+    if name in GOLDEN_WRITTEN:
         path = tmp_path / name
-        assert run(argv + ["--output", str(path)]) == (EXIT_OK, ""), name
+        assert run(GOLDEN_WRITTEN[name] + ["--output", str(path)]) == (EXIT_OK, ""), name
         assert path.read_bytes() == (GOLDEN / name).read_bytes(), name
+    else:
+        code, out = run(GOLDEN_CASES[name])
+        assert code == (EXIT_DIVERGENCE if name == "verify_a55.txt" else EXIT_OK), name
+        assert out.encode() == (GOLDEN / name).read_bytes(), name
+
+
+def test_golden_outputs_are_byte_exact(tmp_path):
+    for name in [*GOLDEN_CASES, *GOLDEN_WRITTEN]:
+        check_golden(name, tmp_path)
+
+
+def test_repeated_calls_share_no_state(tmp_path, capsys):
+    # One process, one grammar: every golden case forward, then calls that
+    # exit early or set flags and files, then every case in reverse.
+    names = [*GOLDEN_CASES, *GOLDEN_WRITTEN]
+    for name in names:
+        check_golden(name, tmp_path)
+    for argv, code in [
+        (["gen", "--constant", "1", "--beatty", A55_TEXT, "--count", "3"], 2),
+        (["gen", "--count", "many", "--constant", "1"], 2),
+        (["--help"], 0),
+        (["verify", "--help"], 0),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == code, argv
+    capsys.readouterr()
+    for name in ["gen_beatty_a55_closed.csv", "gen_beatty_a55.csv",
+                 "gen_beatty_a55.json", "gen_beatty_a55.csv"]:
+        check_golden(name, tmp_path)
+    for name in reversed(names):
+        check_golden(name, tmp_path)
+
+
+def test_grammar_is_built_once_per_process(monkeypatch):
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    argvs = [
+        ["classify", "--alpha", PHI_TEXT],
+        ["inverse", "--alpha", A55_TEXT, "--count", "5"],
+        ["families", "--p-max", "1", "--q-max", "1", "--t-max", "1"],
+        ["gen", "--family", "relaxed", "--constant", "2", "--count", "5"],
+        ["oracle", "--constant", "1", "--bound", "8"],
+        ["verify", "--beatty", A55_TEXT, "--count", "5", "--bound", "12"],
+        ["classify", "--alpha", "1.618"],
+    ]
+    codes = {run(argvs[i % len(argvs)])[0] for i in range(20)}
+    assert codes == {EXIT_OK, EXIT_DIVERGENCE, EXIT_PARSE}
+    assert built[0] == 8, built[0]  # 1 top-level parser and 7 subparsers, once
 
 
 class TestRulesFile:
@@ -356,3 +414,144 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "Family I" in proc.stdout
+
+
+# -- fuzz ---------------------------------------------------------------------------
+
+def _mostly(good, bad):
+    """`good` in fifteen draws of sixteen, `bad` in the last."""
+    return st.integers(0, 15).flatmap(lambda i: bad if i == 0 else good)
+
+
+@st.composite
+def _slope_in_range(draw):
+    """(p+q*sqrt(D))/r in (1, 2) with D not a square: r - q*sqrt(D) < p < 2r - q*sqrt(D)."""
+    d = draw(st.integers(2, 40).filter(lambda d: math.isqrt(d) ** 2 != d))
+    q, r = draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    p = r - math.isqrt(q * q * d) + draw(st.integers(0, r - 1))
+    return f"({p}+{q}*sqrt({d}))/{r}"
+
+
+_RARELY = _mostly(st.just(False), st.just(True))
+_SMALL_SIZE = _mostly(st.integers(-2, 40).map(str), st.sampled_from(["", "x", "1e3", "0x10", "+7"]))
+_SLOPE_TEXT = _mostly(
+    _slope_in_range() | st.sampled_from([PHI_TEXT, A55_TEXT, "(-3+1*sqrt(19))/1"]),
+    st.one_of(
+        st.builds(lambda p, q, d, r: f"({p}{q:+d}*sqrt({d}))/{r}",
+                  st.integers(-9, 9), st.integers(-3, 3), st.integers(0, 30), st.integers(-2, 9)),
+        st.sampled_from(["(1+1*sqrt(5))/0", "(3+0*sqrt(5))/2", "(2+1*sqrt(4))/3", "1.618", "sqrt(5)"]),
+        st.text(max_size=10),
+    ),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 50) | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+_CONSTRAINT_JSON = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"),
+                           "t": _mostly(st.integers(-3, 20) | st.just(10**9), _JSON)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["beatty", "target_beatty"]),
+                           "alpha": _mostly(_SLOPE_TEXT, _JSON)}),
+    st.just({"kind": "parity_half"}),
+    st.fixed_dictionaries(
+        {"kind": st.just("table"),
+         "entries": _mostly(st.lists(st.lists(st.integers(-2, 12), min_size=4, max_size=4)
+                                     | st.lists(st.integers(-2, 12), max_size=5), max_size=8), _JSON)},
+        optional={"strict": _mostly(st.booleans(), _JSON)},
+    ),
+    _JSON,
+)
+_RULES_TEXT = _mostly(
+    st.fixed_dictionaries(
+        {"family": _mostly(st.sampled_from(["modified", "relaxed"]), _JSON), "constraint": _CONSTRAINT_JSON},
+        optional={"schema": _mostly(st.just("beatty-games/v1"), _JSON)},
+    ).map(json.dumps),
+    _JSON.map(json.dumps) | st.text(max_size=12),
+)
+# Each option with the values it may take; sizes stay far below every cap
+# (MAX_COUNT, MAX_ORACLE_BOUND, MAX_FAMILY_BOUND; no subcommand takes a horizon).
+_OPTIONS = {
+    "--family": _mostly(st.sampled_from(["modified", "relaxed"]), st.just("misere")),
+    "--constant": st.one_of(st.integers(-3, 20), st.just(10**9)).map(str),
+    "--beatty": _SLOPE_TEXT,
+    "--target-beatty": _SLOPE_TEXT,
+    "--parity-half": st.none(),
+    "--rules": st.just("RULES"),
+    "--count": _SMALL_SIZE,
+    "--bound": _SMALL_SIZE,
+    "--closed": st.none(),
+    "--output": st.sampled_from(["out.csv", "out.json", "out.txt", "missing/out.csv"]),
+    "--alpha": _SLOPE_TEXT,
+    "--json": st.none(),
+    "--p-max": _mostly(st.integers(1, 3), st.integers(-1, 0)).map(str),
+    "--q-max": _mostly(st.integers(1, 3), st.integers(-1, 0)).map(str),
+    "--t-max": _mostly(st.integers(1, 3), st.integers(-1, 0)).map(str),
+}
+_JUNK = st.sampled_from(["7", "--", "-", "--count", "play", "gen", "--nope", "-h", "--help"]) | st.text(max_size=6)
+_CONSTRAINT_FLAG = st.just("--rules") | st.sampled_from(["--constant", "--beatty", "--target-beatty", "--parity-half"])
+# subcommand -> (options it requires, other options it takes)
+_GRAMMAR = {
+    "gen": (["--count"], ["--family", "--closed", "--output"]),
+    "oracle": (["--bound"], ["--family", "--output"]),
+    "verify": (["--count", "--bound"], ["--family"]),
+    "classify": (["--alpha"], ["--json"]),
+    "inverse": (["--alpha"], ["--count"]),
+    "families": ([], ["--p-max", "--q-max", "--t-max", "--output"]),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand and mostly its own options, in any order; now and then a
+    required option is dropped, a second constraint or a foreign option is
+    added, or a stray token is inserted."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    required, optional = _GRAMMAR[command]
+    flags = [f for f in required if not draw(_RARELY)]
+    flags += [f for f in optional if draw(st.booleans())]
+    if command in ("gen", "oracle", "verify"):
+        flags += draw(_mostly(st.lists(_CONSTRAINT_FLAG, min_size=1, max_size=1),
+                              st.lists(_CONSTRAINT_FLAG, min_size=2, max_size=2, unique=True)))
+    if draw(_RARELY):
+        flags.append(draw(st.sampled_from(sorted(_OPTIONS))))
+    argv = [command]
+    for flag in draw(st.permutations(list(dict.fromkeys(flags)))):
+        value = draw(_OPTIONS[flag])
+        argv += [flag] if value is None else [flag, value]
+    if draw(_RARELY):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@seed(20260807)
+@settings(max_examples=400, deadline=None, database=None)
+@given(argv=_cli_argv(), rules_text=_RULES_TEXT)
+@example(argv=["verify", "--beatty", A55_TEXT, "--count", "10", "--bound", "30"], rules_text="")
+@example(argv=["gen", "--family", "relaxed", "--constant", "0", "--count", "5"], rules_text="")
+@example(argv=["gen", "--rules", "RULES", "--count", "5"],
+         rules_text='{"family": "relaxed", "constraint": {"kind": "parity_half"}}')
+@example(argv=["classify", "--alpha", "(1+1*sqrt(5))/0"], rules_text="")
+@example(argv=["gen", "--help"], rules_text="")
+def test_fuzz_main_exits_with_a_documented_code(tmp_path_factory, argv, rules_text):
+    # One process for every example, so the examples also share main's grammar.
+    # `play` reads stdin and is left out.
+    workdir = tmp_path_factory.getbasetemp() / "fuzz"
+    workdir.mkdir(exist_ok=True)
+    rules = workdir / "rules.json"
+    rules.write_text(rules_text)
+    argv = [str(rules) if a == "RULES" else str(workdir / a) if a.startswith(("out.", "missing/")) else a
+            for a in argv]
+    try:
+        code = main(argv, out=io.StringIO())
+    except SystemExit as exc:  # argparse: --help, or an argv it rejects
+        assert exc.code in (EXIT_OK, EXIT_PARSE), (argv, exc.code)
+        return
+    assert code in (EXIT_OK, EXIT_DIVERGENCE, EXIT_PARSE, EXIT_HYPOTHESIS), (argv, code)
+    if code in (EXIT_DIVERGENCE, EXIT_HYPOTHESIS):
+        args = cli.build_parser().parse_args(argv)
+        family = json.loads(rules_text)["family"] if args.rules else args.family
+        if code == EXIT_DIVERGENCE:
+            assert args.command == "verify", argv
+        else:
+            assert args.command == "gen" and not args.closed and family == "relaxed", argv

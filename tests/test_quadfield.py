@@ -215,7 +215,7 @@ class TestStringFormat:
         assert str(QuadraticNumber(2, 2, 4, 5)) == "(1+1*sqrt(5))/2"
 
     def test_rejects_garbage(self):
-        for text in ["phi", "(1+sqrt(5))/2", "1.618", "(1+1*sqrt(5)/2"]:
+        for text in ["phi", "(1+sqrt(5))/2", "1.618", "(1+1*sqrt(5)/2", "(1+1*sqrt(5))/0"]:
             with pytest.raises(ValueError):
                 QuadraticNumber.from_string(text)
 
