@@ -135,9 +135,11 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     swapped interval.  Once a_n - a_k >= f, pair k's interval is the fixed
     [e_k-f+1, e_k+f-1] with e_k = b_k - a_k; per value of f those merge
     into sorted, disjoint covered runs of d, at most one per pair, where one
-    bisection finds the least uncovered d.  Only the fewer than f younger pairs
-    and the used b's are checked one by one.  Memory O(count); near-linear
-    time for Constant and BeattyDelta while f stays small.
+    bisection finds the least uncovered d.  A matured interval extends the
+    last run or appends a new one in O(1); only one that starts below the
+    last run's start bisects and splices.  Only the fewer than f younger
+    pairs and the used b's are checked one by one.  Memory O(count);
+    near-linear time for Constant and BeattyDelta while f stays small.
 
     GAP_AFFINE, f = g(a_n) - (d2 - d1): every interval ends at
     c + f - 1 = a_n + g - 1, below a_n when g <= 0; when g >= 1, pair
@@ -178,6 +180,14 @@ class _CoveredRuns:
 
     def cover(self, lo: int, hi: int) -> None:
         los, his = self.los, self.his
+        if not los or lo > his[-1] + 1:  # past the last run: a new one
+            los.append(lo)
+            his.append(hi)
+            return
+        if lo >= los[-1]:  # within or touching the last run: it grows
+            if hi > his[-1]:
+                his[-1] = hi
+            return
         i = bisect_left(his, lo - 1)  # runs i..j-1 overlap or touch [lo, hi]
         j = bisect_right(los, hi + 1, i)
         if i < j:

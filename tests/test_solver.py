@@ -27,6 +27,7 @@ from beatty_games.solver import (
     MAX_ORACLE_BOUND,
     PTable,
     TableSource,
+    _CoveredRuns,
     _label_rows,
     compare_tables,
     detect_gap,
@@ -190,12 +191,51 @@ class TestDoubleMex:
         for _ in range(30):
             f = random_origin_f(rng, 400)
             fns.append(lambda x1, y1, x0, f=f: f[x0])
+        # Far-apart values make e_k = b_k - a_k jump both ways, so a pair
+        # that matures later can cover d below its f's last run.
+        for values in ((1, 12), (2, 30)):
+            for miss in (0.0, 0.1, 0.2):
+                f = [None if rng.random() < miss else rng.choice(values) for _ in range(800)]
+                fns.append(lambda x1, y1, x0, f=f: f[x0])
         fns += [Constant(t).value for t in (1, 2, 3, 4, 7, 40)]
         fns += [BeattyDelta(a).value for a in (A55, A19, PHI, SQRT2)]
         for fn in fns:
             fast = solve_doublemex(FnConstraint(fn, Shape.ORIGIN), 400)
             generic = solve_doublemex(FnConstraint(fn, Shape.GENERAL), 400)
             assert fast == generic
+
+    def test_covered_runs_equal_a_set_model(self):
+        # Every kind of interval: inside or past the end of the last run, just
+        # touching it, past a gap, and from below the last run's start, where
+        # it can bridge several runs.
+        rng = random.Random(20221020)
+        kinds = dict.fromkeys(("extend", "touch", "append", "below", "bridge"), 0)
+        for _ in range(200):
+            runs, model = _CoveredRuns(), set()
+            for _ in range(rng.randint(1, 40)):
+                if not runs.los:
+                    kind, lo = "append", rng.randint(-10, 10)
+                else:
+                    kind = rng.choice(("extend", "touch", "append", "below"))
+                    first, last, end = runs.los[0], runs.los[-1], runs.his[-1]
+                    lo = {"extend": rng.randint(last, end), "touch": end + 1,
+                          "append": end + rng.randint(2, 6),
+                          "below": rng.randint(first - 5, last - 1)}[kind]
+                hi = lo + rng.choice((0, rng.randint(0, 4), rng.randint(0, 30)))
+                before = len(runs.los)
+                runs.cover(lo, hi)
+                model.update(range(lo, hi + 1))
+                kinds[kind] += 1
+                kinds["bridge"] += kind == "below" and len(runs.los) < before
+                starts = sorted(d for d in model if d - 1 not in model)
+                ends = sorted(d for d in model if d + 1 not in model)
+                assert (runs.los, runs.his) == (starts, ends)
+                for d in range(min(model) - 2, max(model) + 3):
+                    free = d
+                    while free in model:
+                        free += 1
+                    assert runs.find(d) == free, (d, runs.los, runs.his)
+        assert min(kinds.values()) >= 100, kinds
 
     def test_target_beatty_path_equals_generic_path(self):
         rng = random.Random(20221018)
