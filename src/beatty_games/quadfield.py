@@ -14,16 +14,18 @@ gcd.  Comparisons with an int, or with a value of the same field, decide the
 sign of a numerator without building the difference.
 
 `BeattyPair` is the per-slope object: `conjugate_beatty(alpha)` builds one
-number, beta, and checks 1/alpha + 1/beta = 1 in integers; 1/alpha, {alpha},
-{beta} and the inverses of the last two cost one number each on first use and
-are kept.  `pair.delta2(n)` and `pair.trichotomy(n)` take random-access
-floors by isqrt.  Sequential rows come from the continued fractions instead:
-the PQa recurrence expands alpha and beta with one isqrt each, and the steps
-of floor(n*x) are the characteristic Sturmian word of {x}, built as bytes from
+number, beta, and checks the pair in integers (1 < alpha < 2 and beta > 2 by
+the sign of a numerator, 1/alpha + 1/beta = 1 coordinatewise); 1/alpha,
+{alpha} and {beta} cost one number each on first use and are kept.
+`pair.delta2(n)` takes four random-access floors by isqrt and
+`pair.trichotomy(n)` reads delta2(n+1) and floor(beta), building no number.
+Sequential rows come from the continued fractions instead: the PQa
+recurrence expands alpha and beta with one isqrt each, and the steps of
+floor(n*x) are the characteristic Sturmian word of {x}, built as bytes from
 standard words; `pair._floors(m)` sums them into floor(n*alpha) and
 floor(n*beta) for n < m with no isqrt per row.  The public `delta2(alpha, n)`
-and `trichotomy_class(alpha, n)` build a new pair on every call (plus four
-numbers for the trichotomy), so loops over n should hold it.
+and `trichotomy_class(alpha, n)` build a new pair, one number, on every call,
+so loops over n should hold it.
 """
 
 from __future__ import annotations
@@ -386,9 +388,10 @@ class BeattyPair:
         a, b = self.alpha, self.beta
         if a.q == 0:
             raise ValueError("alpha must be irrational")
-        if not (1 < a < 2):
+        # x > k iff the numerator p - k*r + q*sqrt(D) is positive, as r > 0
+        if _sign(a.p - a.r, a.q, a.D) <= 0 or _sign(a.p - 2 * a.r, a.q, a.D) >= 0:
             raise ValueError(f"alpha must lie in (1, 2), got {a}")
-        if not (2 < b):
+        if _sign(b.p - 2 * b.r, b.q, b.D) <= 0:
             raise ValueError(f"beta must exceed 2, got {b}")
         if a.D != b.D and b.q != 0:
             raise ValueError(f"mismatched radicands: {a.D} vs {b.D}")
@@ -411,14 +414,6 @@ class BeattyPair:
     def frac_beta(self) -> QuadraticNumber:
         """{beta}."""
         return fractional_part(self.beta)
-
-    @_Derived
-    def _inv_frac_alpha(self) -> QuadraticNumber:
-        return self.frac_alpha.inv()
-
-    @_Derived
-    def _inv_frac_beta(self) -> QuadraticNumber:
-        return self.frac_beta.inv()
 
     def delta2(self, n: int) -> int:
         """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha)).
@@ -450,14 +445,18 @@ class BeattyPair:
     def trichotomy(self, n: int) -> Trichotomy:
         """Classify n by membership in X = {floor(m/{alpha})} and Y = {floor(m/{beta})}.
 
-        delta2(n+1) always equals floor(beta) - 1 + d with d the value of the
-        returned class.
+        The class is ZERO when n lies in both or neither, PLUS when only in
+        Y, MINUS when only in X; it is computed by the step identity
+        d = delta2(n+1) - floor(beta) + 1 for n >= 0.  For n >= 1, n lies in
+        X iff alpha's step floor((n+1)*alpha) - floor(n*alpha) is 2, and in
+        Y iff beta's step is floor(beta) + 1, so d = (beta step -
+        floor(beta)) - (alpha step - 1).  n = 0 lies in both and
+        delta2(1) = floor(beta) - 1; negative n lie in neither.  The tests
+        check the class against the membership definition.
         """
-        in_x = _member(self._inv_frac_alpha, self.frac_alpha, n)
-        in_y = _member(self._inv_frac_beta, self.frac_beta, n)
-        if in_x == in_y:
+        if n < 0:
             return Trichotomy.ZERO
-        return Trichotomy.PLUS if in_y else Trichotomy.MINUS
+        return Trichotomy(self.delta2(n + 1) - self.beta.floor() + 1)
 
 
 def _partial_quotients(x: QuadraticNumber) -> Iterator[int]:
@@ -515,16 +514,6 @@ def conjugate_beatty(alpha: QuadraticNumber) -> BeattyPair:
     return BeattyPair(alpha, QuadraticNumber._new(den + r * (p - r), -r * q, den, D))
 
 
-def _member(gamma: QuadraticNumber, inv_gamma: QuadraticNumber, n: int) -> bool:
-    """Membership of n in {floor(m * gamma)} for an irrational gamma > 1 with inverse inv_gamma."""
-    if n < 0:
-        return False
-    if n == 0:
-        return True
-    m = beatty_floor(inv_gamma, n) + 1  # ceil(n/gamma); n/gamma is irrational
-    return beatty_floor(gamma, m) == n
-
-
 def beatty_membership(gamma: QuadraticNumber, n: int) -> bool:
     """True iff n appears in the sequence {floor(m * gamma) : m >= 0}.
 
@@ -533,7 +522,12 @@ def beatty_membership(gamma: QuadraticNumber, n: int) -> bool:
     """
     if gamma.q == 0 or not gamma > 1:
         raise ValueError("gamma must be an irrational greater than 1")
-    return _member(gamma, gamma.inv(), n)
+    if n < 0:
+        return False
+    if n == 0:
+        return True
+    m = beatty_floor(gamma.inv(), n) + 1  # ceil(n/gamma); n/gamma is irrational
+    return beatty_floor(gamma, m) == n
 
 
 def delta2(alpha: QuadraticNumber, n: int) -> int:
@@ -557,8 +551,8 @@ class Trichotomy(Enum):
 def trichotomy_class(alpha: QuadraticNumber, n: int) -> Trichotomy:
     """Classify n by membership in X = {floor(m/{alpha})} and Y = {floor(m/{beta})}.
 
-    delta2(alpha, n+1) always equals floor(beta) - 1 + d with d the value of
-    the returned class.  Builds the pair on every call;
+    The value d of the returned class is delta2(alpha, n+1) - floor(beta) + 1
+    for n >= 0 (see `BeattyPair.trichotomy`).  Builds the pair on every call;
     `conjugate_beatty(alpha).trichotomy(n)` reuses it.
     """
     return conjugate_beatty(alpha).trichotomy(n)

@@ -501,8 +501,11 @@ class TestPerSlope:
     TOP = 400
 
     def test_matches_definitions(self):
+        """Small n against a scan of the index sequences; far n in
+        [10^5, 10^9] against `beatty_membership` of 1/{alpha} and 1/{beta}."""
         box = [alpha for alpha, _ in enumerate_families(6, 6, 6)]
         slopes = [PHI, A55, A19, QuadraticNumber.sqrt(2)] + box + _criterion_10_slopes(20)
+        rng = random.Random(20261019)
         for alpha in slopes:
             beta = alpha / (alpha - 1)
             floors = [(beatty_floor(alpha, n), beatty_floor(beta, n)) for n in range(self.TOP + 1)]
@@ -523,6 +526,12 @@ class TestPerSlope:
                     continue
                 (a1, b1), (a0, b0) = floors[n], floors[n - 1]
                 assert delta2(alpha, n) == pair.delta2(n) == (b1 - b0) - (a1 - a0), (alpha, n)
+            gamma_x, gamma_y = (alpha - alpha.floor()).inv(), (beta - beta.floor()).inv()
+            for n in [rng.randint(10**5, 10**9) for _ in range(40)] + [10**5, 10**9]:
+                in_x, in_y = beatty_membership(gamma_x, n), beatty_membership(gamma_y, n)
+                want = Trichotomy(in_y - in_x)
+                assert trichotomy_class(alpha, n) is want, (alpha, n)
+                assert pair.trichotomy(n) is want, (alpha, n)
 
     def test_delta2_in_any_order(self):
         """Runs of consecutive n, repeats and jumps, interleaved over two
@@ -602,8 +611,6 @@ class TestIntegerFormulas:
             assert same(pair.inv_alpha, alpha.inv()), alpha
             assert same(pair.frac_alpha, frac(alpha)), alpha
             assert same(pair.frac_beta, frac(beta)), alpha
-            assert same(pair._inv_frac_alpha, frac(alpha).inv()), alpha
-            assert same(pair._inv_frac_beta, frac(beta).inv()), alpha
 
     def test_construction_counts(self, monkeypatch):
         """Numbers built per call, counted at `_store`; the arithmetic chains
@@ -626,7 +633,7 @@ class TestIntegerFormulas:
         for alpha in slopes:
             assert built(lambda: conjugate_beatty(alpha)) <= 1, alpha
             assert built(lambda: delta2(alpha, 7)) <= 1, alpha
-            assert built(lambda: trichotomy_class(alpha, 7)) <= 5, alpha
+            assert built(lambda: trichotomy_class(alpha, 7)) <= 1, alpha
             assert built(lambda: classify_alpha(alpha)) <= 10, alpha
 
 
