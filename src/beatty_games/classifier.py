@@ -19,12 +19,7 @@ from enum import Enum
 from typing import List, Optional, Tuple
 
 from .games import SCHEMA, BeattyDelta, Family, RuleSet
-from .quadfield import (
-    BeattyPair,
-    QuadraticNumber,
-    conjugate_beatty,
-    solve_unit_combination,
-)
+from .quadfield import BeattyPair, QuadraticNumber, _unit_solution, conjugate_beatty
 
 MAX_FAMILY_BOUND = 100  # largest p_max, q_max, t_max of enumerate_families
 
@@ -82,12 +77,13 @@ def _range_and_solutions(pair: BeattyPair):
     """The delta2 range, both unit-combination solutions (ii, iii) and floor(beta).
 
     ii solves p*(1-{beta}) + q*{alpha} = 1 and drops floor(beta)-2; iii
-    solves p*{beta} + q*(1-{alpha}) = 1 and drops floor(beta).
+    solves p*{beta} + q*(1-{alpha}) = 1 and drops floor(beta).  Both are
+    solved in integers from the coefficients of alpha and beta: one floor, no number built.
     """
-    bf = pair.beta.floor()
-    frac_a, frac_b = pair.frac_alpha, pair.frac_beta
-    ii = solve_unit_combination(1 - frac_b, frac_a)
-    iii = solve_unit_combination(frac_b, 1 - frac_a)
+    a, b, bf = pair.alpha, pair.beta, pair.beta.floor()
+    fa, fb = a.p - a.r, b.p - bf * b.r  # rational coordinates of {alpha}, {beta}
+    ii = _unit_solution(b.r - fb, -b.q, b.r, fa, a.q, a.r)
+    iii = _unit_solution(fb, b.q, b.r, a.r - fa, -a.q, a.r)
     values = {bf - 1}
     if iii is None:
         values.add(bf)
@@ -109,11 +105,11 @@ def classify_alpha(alpha: QuadraticNumber) -> ClassificationResult:
 def _classify(pair: BeattyPair) -> ClassificationResult:
     rng, ii, iii, bf = _range_and_solutions(pair)
 
-    diff = pair.beta - pair.alpha
-    if diff.is_integer and diff.p >= 1:
-        return ClassificationResult(
-            FamilyLabel.I, rng, t=diff.floor(), beta_floor=bf
-        )
+    a, b = pair.alpha, pair.beta
+    # beta - alpha = (b.p*a.r - a.p*b.r + (b.q*a.r - a.q*b.r)*sqrt(D))/(a.r*b.r)
+    t, rem = divmod(b.p * a.r - a.p * b.r, a.r * b.r)
+    if b.q * a.r == a.q * b.r and not rem and t >= 1:
+        return ClassificationResult(FamilyLabel.I, rng, t=t, beta_floor=bf)
     if bf >= 5:
         return ClassificationResult(FamilyLabel.IV, rng, beta_floor=bf)
 
@@ -146,6 +142,15 @@ def family_ii_alpha(p: int, q: int, beta_floor: int) -> Optional[QuadraticNumber
     Returned only when irrational, inside (1, 2), and self-consistent: the
     conjugate's floor must equal the beta_floor parameter.
     """
+    return getattr(_family_ii(p, q, beta_floor), "alpha", None)  # None when no pair was built
+
+
+def family_iii_alpha(p: int, q: int) -> Optional[QuadraticNumber]:
+    """Positive root (sqrt(4pq + (q-3p-1)^2) + 3q - 3p - 1) / (2q), beta floor 4."""
+    return getattr(_family_iii(p, q), "alpha", None)  # None when no pair was built
+
+
+def _family_ii(p: int, q: int, beta_floor: int) -> Optional[BeattyPair]:
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     if beta_floor not in (3, 4):
@@ -154,19 +159,19 @@ def family_ii_alpha(p: int, q: int, beta_floor: int) -> Optional[QuadraticNumber
     return _family_root(QuadraticNumber(2 * q - m, 1, 2 * q, 4 * p * q + m * m), beta_floor)
 
 
-def family_iii_alpha(p: int, q: int) -> Optional[QuadraticNumber]:
-    """Positive root (sqrt(4pq + (q-3p-1)^2) + 3q - 3p - 1) / (2q), beta floor 4."""
+def _family_iii(p: int, q: int) -> Optional[BeattyPair]:
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     m = q - 3 * p - 1
     return _family_root(QuadraticNumber(3 * q - 3 * p - 1, 1, 2 * q, 4 * p * q + m * m), 4)
 
 
-def _family_root(alpha: QuadraticNumber, beta_floor: int) -> Optional[QuadraticNumber]:
-    """alpha if it is irrational, inside (1, 2) and its conjugate's floor is beta_floor."""
+def _family_root(alpha: QuadraticNumber, beta_floor: int) -> Optional[BeattyPair]:
+    """alpha's pair if alpha is irrational, inside (1, 2) and its conjugate's floor is beta_floor."""
     if alpha.is_rational or not (1 < alpha < 2):
         return None
-    return alpha if conjugate_beatty(alpha).beta.floor() == beta_floor else None
+    pair = conjugate_beatty(alpha)
+    return pair if pair.beta.floor() == beta_floor else None
 
 
 def inverse_solve(alpha: QuadraticNumber) -> Tuple[RuleSet, BeattyDelta]:
@@ -190,19 +195,19 @@ def enumerate_families(
     out: List[Tuple[QuadraticNumber, ClassificationResult]] = []
     seen = set()
 
-    def push(alpha: Optional[QuadraticNumber]):
-        if alpha is None or alpha in seen:
+    def push(pair: Optional[BeattyPair]):
+        if pair is None or pair.alpha in seen:
             return
-        seen.add(alpha)
-        out.append((alpha, classify_alpha(alpha)))
+        seen.add(pair.alpha)
+        out.append((pair.alpha, _classify(pair)))
 
     for t in range(1, t_max + 1):
-        push(golden_alpha(t))
+        push(conjugate_beatty(golden_alpha(t)))
     for p in range(1, p_max + 1):
         for q in range(1, q_max + 1):
             for bf in (3, 4):
-                push(family_ii_alpha(p, q, bf))
-            push(family_iii_alpha(p, q))
+                push(_family_ii(p, q, bf))
+            push(_family_iii(p, q))
     return out
 
 

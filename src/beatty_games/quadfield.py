@@ -15,15 +15,16 @@ sign of a numerator without building the difference.
 
 `BeattyPair` is the per-slope object: `conjugate_beatty(alpha)` builds one
 number, beta, and checks the pair in integers (1 < alpha < 2 and beta > 2 by
-the sign of a numerator, 1/alpha + 1/beta = 1 coordinatewise); 1/alpha,
-{alpha} and {beta} cost one number each on first use and are kept.
+the sign of a numerator, 1/alpha + 1/beta = 1 coordinatewise); 1/alpha
+costs one number on first use and is kept.
 `pair.delta2(n)` takes four random-access floors by isqrt and
 `pair.trichotomy(n)` reads delta2(n+1) and floor(beta), building no number.
 Sequential rows come from the continued fractions instead: the PQa
 recurrence expands alpha and beta with one isqrt each, and the steps of
 floor(n*x) are the characteristic Sturmian word of {x}, built as bytes from
-standard words; `pair._floors(m)` sums them into floor(n*alpha) and
-floor(n*beta) for n < m with no isqrt per row.  The public `delta2(alpha, n)`
+standard words; `pair._floors(m)` gives floor(n*alpha) and floor(n*beta) for
+n < m, each as one `accumulate` over the word translated to floor(x) + step,
+with no isqrt and no Python bytecode per n.  The public `delta2(alpha, n)`
 and `trichotomy_class(alpha, n)` build a new pair, one number, on every call,
 so loops over n should hold it.
 """
@@ -34,7 +35,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, takewhile
+from itertools import accumulate, chain, takewhile
 from math import gcd, isqrt
 from operator import add
 from typing import Iterator, Optional, Tuple
@@ -405,16 +406,6 @@ class BeattyPair:
         """1/alpha; floor((x+1)/alpha) counts the floor(n*alpha) at or below x."""
         return self.alpha.inv()
 
-    @_Derived
-    def frac_alpha(self) -> QuadraticNumber:
-        """{alpha} = alpha - 1."""
-        return self.alpha - 1
-
-    @_Derived
-    def frac_beta(self) -> QuadraticNumber:
-        """{beta}."""
-        return fractional_part(self.beta)
-
     def delta2(self, n: int) -> int:
         """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha)).
 
@@ -435,10 +426,15 @@ class BeattyPair:
         return _step_word(self.alpha, m), _step_word(self.beta, m)
 
     def _floors(self, m: int) -> Tuple[Iterator[int], ...]:
-        """Iterators over floor(n*alpha) and floor(n*beta) for n < m, the
-        running sums of `_steps`."""
+        """Iterators over floor(n*alpha) and floor(n*beta) for n < m: one
+        running sum over each step word read as floor(x) + step, which
+        `bytes.translate` writes while floor(x) + 1 fits in a byte."""
+        if m < 1:
+            return iter(()), iter(())
         return tuple(
-            map(add, accumulate(steps, initial=0), range(0, whole * m, whole))
+            accumulate(steps.translate(bytes((whole, whole + 1)) + bytes(254)), initial=0)
+            if whole < 255
+            else map(add, accumulate(steps, initial=0), range(0, whole * m, whole))
             for whole, steps in self._steps(m - 1)
         )
 
@@ -456,7 +452,7 @@ class BeattyPair:
         """
         if n < 0:
             return Trichotomy.ZERO
-        return Trichotomy(self.delta2(n + 1) - self.beta.floor() + 1)
+        return _TRICHOTOMY[self.delta2(n + 1) - self.beta.floor() + 1]
 
 
 def _partial_quotients(x: QuadraticNumber) -> Iterator[int]:
@@ -548,6 +544,9 @@ class Trichotomy(Enum):
     MINUS = -1
 
 
+_TRICHOTOMY = {t.value: t for t in Trichotomy}  # without the Enum call's lookup chain
+
+
 def trichotomy_class(alpha: QuadraticNumber, n: int) -> Trichotomy:
     """Classify n by membership in X = {floor(m/{alpha})} and Y = {floor(m/{beta})}.
 
@@ -559,36 +558,40 @@ def trichotomy_class(alpha: QuadraticNumber, n: int) -> Trichotomy:
 
 
 def rayleigh_verify(pair: BeattyPair, limit: int) -> bool:
-    """Check that the two Beatty sequences tile [0, limit] with only 0 shared."""
+    """Check that the two Beatty sequences tile [0, limit] with only 0 shared:
+    the rows' values <= limit, sorted once, must read 0, 0, 1, ..., limit."""
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    hits = bytearray(limit + 1)
     # floor((limit+1)*gamma) > limit, and each row of floors increases
-    for row in pair._floors(limit + 2):
-        for v in takewhile(limit.__ge__, row):
-            hits[v] += 1
-    return hits[0] == 2 and all(h == 1 for h in hits[1:])
+    rows = pair._floors(limit + 2)
+    values = sorted(chain.from_iterable(takewhile(limit.__ge__, row) for row in rows))
+    return values == [0, *range(limit + 1)]
 
 
-def solve_unit_combination(
-    u: QuadraticNumber, v: QuadraticNumber
-) -> Optional[Tuple[int, int]]:
-    """Unique positive integers (p, q) with p*u + q*v = 1, if they exist.
-
-    The rational and sqrt(D) coordinates give two linear equations, solved in
-    integers: p = v.q*u.r/det, q = -u.q*v.r/det, det = u.p*v.q - v.p*u.q, taken
-    only when integral and positive.  A singular system (u, v rational multiples
-    of each other) has no solution for irrational u, v.
-    """
+def solve_unit_combination(u: QuadraticNumber, v: QuadraticNumber) -> Optional[Tuple[int, int]]:
+    """Unique positive integers (p, q) with p*u + q*v = 1, if they exist (see `_unit_solution`)."""
     if u.q == 0 or v.q == 0:
         raise ValueError("u and v must be irrational")
     if u.D != v.D:
         raise ValueError(f"mismatched radicands: {u.D} vs {v.D}")
-    det = u.p * v.q - v.p * u.q
+    return _unit_solution(u.p, u.q, u.r, v.p, v.q, v.r)
+
+
+def _unit_solution(up: int, uq: int, ur: int, vp: int, vq: int, vr: int) -> Optional[Tuple[int, int]]:
+    """Positive integers (p, q) with p*u + q*v = 1 for u = (up + uq*sqrt(D))/ur
+    and v = (vp + vq*sqrt(D))/vr, if they exist.
+
+    The rational and sqrt(D) coordinates give two linear equations, solved in
+    integers: p = vq*ur/det, q = -uq*vr/det, det = up*vq - vp*uq, taken only
+    when integral and positive.  A singular system (u, v rational multiples of
+    each other) has no solution for irrational u, v.  Scaling a triple scales
+    det and the numerators alike, so the triples need no normal form.
+    """
+    det = up * vq - vp * uq
     if det == 0:
         return None
-    p, p_rem = divmod(v.q * u.r, det)
-    q, q_rem = divmod(-u.q * v.r, det)
+    p, p_rem = divmod(vq * ur, det)
+    q, q_rem = divmod(-uq * vr, det)
     if p_rem or q_rem or p <= 0 or q <= 0:
         return None
     return p, q

@@ -414,23 +414,27 @@ def detect_gap(alpha: QuadraticNumber, horizon: int) -> List[GapReport]:
     """Positive inter-interval gaps of the Beatty constraint, up to `horizon`.
 
     Works in the Beatty world: pairs are (floor(n*alpha), floor(n*beta)) and
-    the constraint value at index m is delta2(alpha, m).
+    the constraint value at index m is delta2(alpha, m).  A running max of f
+    skips the rows with no positive gap, so a gap-free slope costs O(horizon).
     """
     if not 1 <= horizon <= MAX_HORIZON:
         raise ValueError(f"horizon must be in [1, {MAX_HORIZON}], got {horizon}")
     a, b, f = zip(*_beatty_columns(alpha, horizon + 1))
     reports: List[GapReport] = []
+    top = f[1]  # max(f[k] for k < n): no gap in row n unless top - 2*f[n] + 1 > 0
     for n in range(2, horizon + 1):
         fn = f[n]
-        for k in range(1, n):
-            size = f[k] - 2 * fn + 1
-            if size <= 0:
-                continue
-            lo = a[n] + b[k - 1] - a[k - 1] + fn
-            # b is increasing: the least b_j >= lo decides whether one lands in the gap.
-            j = bisect_left(b, lo, 0, n)
-            filled = j < n and b[j] < lo + size
-            reports.append(GapReport(n=n, k=k, gap_size=size, filled=filled))
+        if top - 2 * fn + 1 > 0:
+            for k in range(1, n):
+                size = f[k] - 2 * fn + 1
+                if size <= 0:
+                    continue
+                lo = a[n] + b[k - 1] - a[k - 1] + fn
+                # b is increasing: the least b_j >= lo decides whether one lands in the gap.
+                j = bisect_left(b, lo, 0, n)
+                filled = j < n and b[j] < lo + size
+                reports.append(GapReport(n=n, k=k, gap_size=size, filled=filled))
+        top = max(top, fn)
     return reports
 
 

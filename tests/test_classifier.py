@@ -101,8 +101,8 @@ class TestClassify:
         for alpha in INCOMPATIBLE:
             assert classify_alpha(alpha).family is FamilyLabel.INCOMPATIBLE
 
-    def test_floor_of_beta_taken_twice(self, monkeypatch):
-        # Once for the delta2 range and once for {beta}; the family reuses the first.
+    def test_floor_of_beta_taken_once(self, monkeypatch):
+        # For the delta2 range and {beta}'s coordinates; the family reuses it.
         calls = []
 
         def counting(gamma, n):
@@ -114,7 +114,7 @@ class TestClassify:
             beta = conjugate_beatty(alpha).beta
             calls.clear()
             classify_alpha(alpha)
-            assert calls.count((beta, 1)) == 2, alpha
+            assert calls.count((beta, 1)) == 1, alpha
 
     def test_compatibility_iff_inequality(self):
         candidates = [alpha for alpha, _ in enumerate_families(10, 10, 10)] + INCOMPATIBLE
@@ -236,6 +236,22 @@ class TestEnumeration:
     def test_all_compatible(self):
         for alpha, res in enumerate_families(6, 6, 6):
             assert res.compatible
+
+    def test_equals_the_public_constructors_classified(self):
+        """The pairs the constructors build are classified as classify_alpha
+        classifies their slopes, in the same order."""
+        want, seen = [], set()
+        alphas = [golden_alpha(t) for t in range(1, 7)] + [
+            alpha
+            for p in range(1, 7)
+            for q in range(1, 7)
+            for alpha in (family_ii_alpha(p, q, 3), family_ii_alpha(p, q, 4), family_iii_alpha(p, q))
+        ]
+        for alpha in alphas:
+            if alpha is not None and alpha not in seen:
+                seen.add(alpha)
+                want.append((alpha, classify_alpha(alpha)))
+        assert enumerate_families(6, 6, 6) == want
 
     def test_deduplicated(self):
         entries = enumerate_families(4, 4, 4)

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv, mpf
 
 from beatty_games import quadfield
-from beatty_games.classifier import classify_alpha, enumerate_families
+from beatty_games.classifier import FamilyLabel, _range_and_solutions, classify_alpha, enumerate_families
 from beatty_games.quadfield import (
     MAX_RADICAND,
     BeattyPair,
@@ -373,7 +373,54 @@ class TestTrichotomy:
                 assert delta2(alpha, n + 1) == bf - 1 + d
 
 
+def _rayleigh_by_count(pair, limit):
+    """Reference tiling check: a count per value, each of 1..limit once and 0 twice."""
+    hits = bytearray(limit + 1)
+    for row in pair._floors(limit + 2):
+        for v in itertools.takewhile(limit.__ge__, row):
+            hits[v] += 1
+    return hits[0] == 2 and all(h == 1 for h in hits[1:])
+
+
+class _StubRows:
+    """Stands in for a pair in rayleigh_verify: fixed rows whatever m is asked."""
+
+    def __init__(self, *rows):
+        self.rows = rows
+
+    def _floors(self, m):
+        return tuple(map(iter, self.rows))
+
+
 class TestRayleigh:
+    # (rows, limit, tiles): rows that share a value or skip one do not tile.
+    STUBS = [
+        (([0, 0, 2], [0, 1]), 0, False),  # 0 three times
+        (([0, 1], [1, 3]), 0, False),  # 0 once
+        (([0, 2], [0, 3]), 0, True),
+        (([0, 1, 3], [0, 1, 4]), 1, False),  # 1 shared
+        (([0, 2, 3], [0, 3, 5]), 1, False),  # 1 skipped
+        (([0, 1, 3], [0, 2, 5]), 1, True),
+        (([0, 1, 3, 4, 6], [0, 2, 5, 7]), 6, True),
+        (([0, 1, 3, 4, 6], [0, 2, 4, 7]), 6, False),  # 4 shared
+        (([0, 1, 3, 6], [0, 2, 5, 7]), 6, False),  # 4 skipped
+    ]
+
+    @pytest.mark.parametrize("rows, limit, tiles", STUBS)
+    def test_stub_rows(self, rows, limit, tiles):
+        stub = _StubRows(*rows)
+        assert rayleigh_verify(stub, limit) is tiles
+        assert _rayleigh_by_count(stub, limit) is tiles
+
+    def test_equals_the_count_on_real_rows(self):
+        for alpha in (PHI, A55, A19, QuadraticNumber.sqrt(2)):
+            pair = conjugate_beatty(alpha)
+            fa, fb = map(list, pair._floors(2002))
+            for rows in ((fa, fb), (fa, fb[:40] + fb[41:]), (fa[:7] + [fa[8]] + fa[8:], fb)):
+                stub = _StubRows(*rows)
+                assert rayleigh_verify(stub, 2000) is _rayleigh_by_count(stub, 2000) is (rows == (fa, fb))
+            assert rayleigh_verify(pair, 2000) is _rayleigh_by_count(pair, 2000) is True
+
     def test_a55_small(self):
         assert rayleigh_verify(conjugate_beatty(A55), 29)
 
@@ -603,14 +650,23 @@ class TestIntegerFormulas:
             return got
 
         one = Fraction(1)
+        solved = 0
         for alpha in self.NEAR_CAP if near_cap else self.slopes():
             pair = conjugate_beatty(alpha)
             beta = (alpha - one).inv() + one
             assert same(pair.beta, beta), alpha
             assert alpha.inv() + beta.inv() == 1
             assert same(pair.inv_alpha, alpha.inv()), alpha
-            assert same(pair.frac_alpha, frac(alpha)), alpha
-            assert same(pair.frac_beta, frac(beta)), alpha
+            # The classifier solves on integer coordinates of {alpha} and {beta}.
+            _, ii, iii, bf = _range_and_solutions(pair)
+            frac_a, frac_b = frac(alpha), frac(beta)
+            assert bf == beta.floor(), alpha
+            assert ii == solve_unit_combination(1 - frac_b, frac_a), alpha
+            assert iii == solve_unit_combination(frac_b, 1 - frac_a), alpha
+            solved += (ii, iii) != (None, None)
+            family_i = classify_alpha(alpha).family is FamilyLabel.I
+            assert family_i == (beta - alpha).is_integer, alpha
+        assert near_cap or solved > 0
 
     def test_construction_counts(self, monkeypatch):
         """Numbers built per call, counted at `_store`; the arithmetic chains
@@ -634,7 +690,7 @@ class TestIntegerFormulas:
             assert built(lambda: conjugate_beatty(alpha)) <= 1, alpha
             assert built(lambda: delta2(alpha, 7)) <= 1, alpha
             assert built(lambda: trichotomy_class(alpha, 7)) <= 1, alpha
-            assert built(lambda: classify_alpha(alpha)) <= 10, alpha
+            assert built(lambda: classify_alpha(alpha)) <= 1, alpha
 
 
 class TestRows:
@@ -662,6 +718,23 @@ class TestRows:
             for m in range(4):
                 assert [list(row) for row in pair._floors(m)] == [fa[:m], fb[:m]], (alpha, m)
                 assert [len(steps) for _, steps in pair._steps(m)] == [m, m]
+
+    def test_both_row_branches(self):
+        """floor(beta) = 253..256 around the one-byte limit of the translated
+        word, and the near-cap slopes far above it, at 2,000 rows and m < 4."""
+        wide = []
+        for t in range(252, 256):
+            beta = QuadraticNumber(t, 1, 1, 2)  # t + sqrt(2), floor t + 1
+            wide.append(beta / (beta - 1))
+        slopes = wide + TestIntegerFormulas.NEAR_CAP
+        assert [conjugate_beatty(alpha).beta.floor() for alpha in wide] == [253, 254, 255, 256]
+        for alpha in slopes:
+            pair = conjugate_beatty(alpha)
+            fa, fb = map(list, pair._floors(2000))
+            assert fa == [beatty_floor(alpha, n) for n in range(2000)], alpha
+            assert fb == [beatty_floor(pair.beta, n) for n in range(2000)], alpha
+            for m in range(4):
+                assert [list(row) for row in pair._floors(m)] == [fa[:m], fb[:m]], (alpha, m)
 
     @pytest.mark.parametrize("alpha", [
         QuadraticNumber(10**9, 1, 10**9, 2),  # {alpha} = [0; 707106781, ...]

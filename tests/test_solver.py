@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from beatty_games.classifier import enumerate_families
+from beatty_games.classifier import classify_alpha, enumerate_families
 from beatty_games.games import (
     BeattyDelta,
     Constant,
@@ -107,6 +107,18 @@ def random_slope(rng):
                                 rng.randint(1, 12), rng.randint(2, 50))
         if alpha.q != 0 and 1 < alpha < 2:
             return alpha
+
+
+def seeded_slopes_by_kind(k, seed=20261019):
+    """k compatible then k incompatible seeded slopes from random_slope."""
+    rng = random.Random(seed)
+    kinds = {True: [], False: []}
+    while min(map(len, kinds.values())) < k:
+        alpha = random_slope(rng)
+        kind = kinds[classify_alpha(alpha).compatible]
+        if len(kind) < k and alpha not in kind:
+            kind.append(alpha)
+    return kinds[True] + kinds[False]
 
 
 def beatty_table(alpha, count):
@@ -600,14 +612,16 @@ class TestDetectGap:
         for r in detect_gap(A55, 60):
             assert r.gap_size > 0
 
-    # The four test slopes, two incompatible ones whose gaps are part filled, and
-    # one whose f reaches 0, so that b_n itself can land in a gap of row n.
+    # The four test slopes, two incompatible ones whose gaps are part filled,
+    # one whose f reaches 0, so that b_n itself can land in a gap of row n,
+    # and seeded compatible and incompatible slopes.
     @pytest.mark.parametrize("alpha", [
         PHI, A55, A19, SQRT2, QuadraticNumber(2, 1, 2, 2), QuadraticNumber(4, 1, 3, 2),
-        QuadraticNumber(4, 1, 4, 5),
+        QuadraticNumber(4, 1, 4, 5), *seeded_slopes_by_kind(4),
     ])
     def test_equals_four_floor_linear_scan_form(self, alpha):
-        """Same reports as four exact floors per row and a scan over every b_j."""
+        """Same reports as four exact floors per row and a scan over every b_j,
+        at every horizon a prefix of the reports at the largest."""
         pair = conjugate_beatty(alpha)
         horizon = 120
         a = [beatty_floor(alpha, n) for n in range(horizon + 1)]
@@ -621,7 +635,9 @@ class TestDetectGap:
                     lo = a[n] + b[k - 1] - a[k - 1] + f[n]
                     filled = any(lo <= b[j] <= lo + size - 1 for j in range(n))
                     want.append(GapReport(n=n, k=k, gap_size=size, filled=filled))
-        assert detect_gap(alpha, horizon) == want
+        for h in (1, 2, 40, horizon):
+            assert detect_gap(alpha, h) == [r for r in want if r.n <= h], (alpha, h)
+        assert bool(want) != classify_alpha(alpha).compatible
 
 
 class TestPTableValidation:
