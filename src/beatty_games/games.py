@@ -136,7 +136,7 @@ class BeattyDelta(ConstraintSpec):
     def _extend(self, x0: int) -> Optional[int]:
         pair = self.pair
         if x0 > _TABLE_CAP:
-            return pair.delta2(beatty_floor(pair.inv_alpha, x0 + 1))
+            return pair.delta2(beatty_floor(pair.alpha.inv(), x0 + 1))
         k, m = self._rows, _rows_to_cover(self._rows, x0)
         (_, ua), (b, ub) = pair._steps(m)
         # Row n >= 1 covers 1 + ua[n] cells from floor(n*alpha) on, each
@@ -198,7 +198,7 @@ class TargetBeatty(ConstraintSpec):
     def _extend(self, x0: int) -> Optional[int]:
         pair = self.pair
         if x0 > _TABLE_CAP:
-            n = beatty_floor(pair.inv_alpha, x0 + 1)
+            n = beatty_floor(pair.alpha.inv(), x0 + 1)
             return beatty_floor(pair.beta, n) - x0 if beatty_floor(self.alpha, n) == x0 else None
         k, m = self._rows, _rows_to_cover(self._rows, x0)
         fa, fb = map(list, pair._floors(m + 1))
@@ -280,7 +280,7 @@ def _diagonal_ok(rules: RuleSet, x0: int, y0: int, d1: int, d2: int) -> bool:
 def legal_moves(rules: RuleSet, origin: Position) -> Set[Position]:
     """All positions reachable in one move, canonicalized to x <= y."""
     x0, y0 = origin
-    if x0 > y0:
+    if canonical(x0, y0) != origin:  # canonical raises on a negative pile
         raise ValueError("origin must be canonical (x <= y)")
     out: Set[Position] = set()
     for v in range(x0):
@@ -297,8 +297,9 @@ def legal_moves(rules: RuleSet, origin: Position) -> Set[Position]:
 def is_legal_move(rules: RuleSet, origin: Position, dest: Position) -> bool:
     """Membership form of legal_moves without enumerating the whole set."""
     x0, y0 = origin
+    canonical(x0, y0)  # raises on a negative pile
     dx, dy = dest
-    if dx > dy or x0 > y0:
+    if not 0 <= dx <= dy or x0 > y0:
         return False
     if dest == origin:
         return False

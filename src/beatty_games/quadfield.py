@@ -6,17 +6,16 @@ decided with integer square roots only — no floating point anywhere, because
 Beatty membership flips on knife-edge values that floats cannot represent.
 
 Outside input enters through the public `QuadraticNumber(p, q, r, D)`, which
-rejects D > MAX_RADICAND and then splits off the square part of D by trial
-division.  Arithmetic results are built by the private
-`QuadraticNumber._new`, which trusts that its D is the radicand of an
-existing instance, hence already square-free, and only normalizes sign and
-gcd.  Comparisons with an int, or with a value of the same field, decide the
-sign of a numerator without building the difference.
+rejects a D that is not an int or exceeds MAX_RADICAND and then splits off
+the square part of D by trial division.  Arithmetic results are built by
+the private `QuadraticNumber._new`, which trusts that its D is the radicand
+of an existing instance, hence already square-free, and only normalizes
+sign and gcd.  Comparisons with an int, or with a value of the same field,
+decide the sign of a numerator without building the difference.
 
 `BeattyPair` is the per-slope object: `conjugate_beatty(alpha)` builds one
 number, beta, and checks the pair in integers (1 < alpha < 2 and beta > 2 by
-the sign of a numerator, 1/alpha + 1/beta = 1 coordinatewise); 1/alpha
-costs one number on first use and is kept.
+the sign of a numerator, 1/alpha + 1/beta = 1 coordinatewise).
 `pair.delta2(n)` takes four random-access floors by isqrt and
 `pair.trichotomy(n)` reads delta2(n+1) and floor(beta), building no number.
 Sequential rows come from the continued fractions instead: the PQa
@@ -76,6 +75,8 @@ class QuadraticNumber:
     def __init__(self, p: int, q: int, r: int, D: int):
         if r == 0:
             raise ZeroDivisionError("denominator r must be nonzero")
+        if type(D) is not int:  # a float radicand would decide signs in floats
+            raise TypeError(f"radicand must be an int, got {type(D).__name__}")
         if D < 1:
             raise ValueError(f"radicand must be positive, got {D}")
         if D > MAX_RADICAND:
@@ -185,8 +186,6 @@ class QuadraticNumber:
         return QuadraticNumber._new(-self.p, -self.q, self.r, self.D)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return QuadraticNumber._new(self.p - other * self.r, self.q, self.r, self.D)
         pr = self._pair(other)
         if pr is None:
             return NotImplemented
@@ -196,8 +195,6 @@ class QuadraticNumber:
         )
 
     def __rsub__(self, other):
-        if isinstance(other, int):
-            return QuadraticNumber._new(other * self.r - self.p, -self.q, self.r, self.D)
         return -(self - other)
 
     def __mul__(self, other):
@@ -355,31 +352,12 @@ def beatty_floor(alpha: QuadraticNumber, n: int) -> int:
     return (n * alpha.p + (w if t >= 0 else -w - 1)) // alpha.r
 
 
-def fractional_part(x: QuadraticNumber) -> QuadraticNumber:
-    """x - floor(x), exact, in [0, 1)."""
-    return x - x.floor()
-
-
-class _Derived:
-    """Value built by `make(pair)` on first use and kept in the pair's dict,
-    which later reads hit first: a cached_property without its lock."""
-
-    def __init__(self, make):
-        self.make, self.name, self.__doc__ = make, make.__name__, make.__doc__
-
-    def __get__(self, pair, owner=None):
-        if pair is None:
-            return self
-        value = pair.__dict__[self.name] = self.make(pair)
-        return value
-
-
 @dataclass(frozen=True)
 class BeattyPair:
     """Slopes (alpha, beta) of a complementary Beatty pair: 1/alpha + 1/beta = 1.
 
-    The per-slope object: the values derived from the pair are built on
-    first use and kept for the pair's lifetime.
+    The per-slope object: its methods read alpha and beta's coefficients and
+    continued fractions, and build no number.
     """
 
     alpha: QuadraticNumber
@@ -400,11 +378,6 @@ class BeattyPair:
         if (a.p * b.r + b.p * a.r != a.p * b.p + a.q * b.q * a.D
                 or a.q * b.r + b.q * a.r != a.p * b.q + a.q * b.p):
             raise ValueError("1/alpha + 1/beta = 1 fails")
-
-    @_Derived
-    def inv_alpha(self) -> QuadraticNumber:
-        """1/alpha; floor((x+1)/alpha) counts the floor(n*alpha) at or below x."""
-        return self.alpha.inv()
 
     def delta2(self, n: int) -> int:
         """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha)).
@@ -566,15 +539,6 @@ def rayleigh_verify(pair: BeattyPair, limit: int) -> bool:
     rows = pair._floors(limit + 2)
     values = sorted(chain.from_iterable(takewhile(limit.__ge__, row) for row in rows))
     return values == [0, *range(limit + 1)]
-
-
-def solve_unit_combination(u: QuadraticNumber, v: QuadraticNumber) -> Optional[Tuple[int, int]]:
-    """Unique positive integers (p, q) with p*u + q*v = 1, if they exist (see `_unit_solution`)."""
-    if u.q == 0 or v.q == 0:
-        raise ValueError("u and v must be irrational")
-    if u.D != v.D:
-        raise ValueError(f"mismatched radicands: {u.D} vs {v.D}")
-    return _unit_solution(u.p, u.q, u.r, v.p, v.q, v.r)
 
 
 def _unit_solution(up: int, uq: int, ur: int, vp: int, vq: int, vr: int) -> Optional[Tuple[int, int]]:

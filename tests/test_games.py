@@ -84,12 +84,12 @@ class TestEvalConstraint:
 
 def exact_delta(pair, x0):
     """BeattyDelta's value at x0 by exact floors: delta2(floor((x0+1)/alpha))."""
-    return pair.delta2(beatty_floor(pair.inv_alpha, x0 + 1))
+    return pair.delta2(beatty_floor(pair.alpha.inv(), x0 + 1))
 
 
 def exact_gap(pair, x0):
     """TargetBeatty's gap at x0 by exact floors."""
-    n = beatty_floor(pair.inv_alpha, x0 + 1)
+    n = beatty_floor(pair.alpha.inv(), x0 + 1)
     return beatty_floor(pair.beta, n) - x0 if n >= 1 and beatty_floor(pair.alpha, n) == x0 else None
 
 
@@ -202,13 +202,18 @@ class TestIsLegalMove:
 
     def test_matches_enumeration(self):
         for rules in (MOD_PARITY, MOD_W1, REL_W1, RuleSet(Family.MODIFIED, BeattyDelta(A55))):
-            for pos in [Position(5, 9), Position(7, 7), Position(0, 6)]:
+            for pos in [Position(5, 9), Position(7, 7), Position(0, 6), Position(2, 3)]:
                 allowed = legal_moves(rules, pos)
-                for x in range(10):
-                    for y in range(x, 12):
+                assert all(min(dest) >= 0 for dest in allowed)
+                for x in range(-2, 10):
+                    for y in range(-2, 12):
                         assert is_legal_move(rules, pos, Position(x, y)) == (
                             Position(x, y) in allowed
-                        )
+                        ), (pos, x, y)
+            with pytest.raises(ValueError, match="pile sizes must be non-negative"):
+                legal_moves(rules, Position(-3, -1))
+            with pytest.raises(ValueError, match="pile sizes must be non-negative"):
+                is_legal_move(rules, Position(-3, -1), Position(0, 0))
 
     def test_matches_enumeration_randomized(self):
         import random
