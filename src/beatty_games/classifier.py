@@ -142,32 +142,25 @@ def family_ii_alpha(p: int, q: int, beta_floor: int) -> Optional[QuadraticNumber
     Returned only when irrational, inside (1, 2), and self-consistent: the
     conjugate's floor must equal the beta_floor parameter.
     """
-    return getattr(_family_ii(p, q, beta_floor), "alpha", None)  # None when no pair was built
+    pair = _family_root(p, q, beta_floor * p - 1, beta_floor)
+    return getattr(pair, "alpha", None)  # None when no pair was built
 
 
 def family_iii_alpha(p: int, q: int) -> Optional[QuadraticNumber]:
     """Positive root (sqrt(4pq + (q-3p-1)^2) + 3q - 3p - 1) / (2q), beta floor 4."""
-    return getattr(_family_iii(p, q), "alpha", None)  # None when no pair was built
+    pair = _family_root(p, q, 3 * p + 1 - q, 4)
+    return getattr(pair, "alpha", None)  # None when no pair was built
 
 
-def _family_ii(p: int, q: int, beta_floor: int) -> Optional[BeattyPair]:
+def _family_root(p: int, q: int, m: int, beta_floor: int) -> Optional[BeattyPair]:
+    """The pair of alpha = (2q - m + sqrt(4pq + m^2)) / (2q) if alpha is irrational,
+    inside (1, 2) and its conjugate's floor is beta_floor: Family II has
+    m = beta_floor*p - 1, Family III has m = 3p + 1 - q and beta_floor 4."""
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     if beta_floor not in (3, 4):
         raise ValueError("beta_floor must be 3 or 4")
-    m = beta_floor * p - 1
-    return _family_root(QuadraticNumber(2 * q - m, 1, 2 * q, 4 * p * q + m * m), beta_floor)
-
-
-def _family_iii(p: int, q: int) -> Optional[BeattyPair]:
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be >= 1")
-    m = q - 3 * p - 1
-    return _family_root(QuadraticNumber(3 * q - 3 * p - 1, 1, 2 * q, 4 * p * q + m * m), 4)
-
-
-def _family_root(alpha: QuadraticNumber, beta_floor: int) -> Optional[BeattyPair]:
-    """alpha's pair if alpha is irrational, inside (1, 2) and its conjugate's floor is beta_floor."""
+    alpha = QuadraticNumber(2 * q - m, 1, 2 * q, 4 * p * q + m * m)
     if alpha.is_rational or not (1 < alpha < 2):
         return None
     pair = conjugate_beatty(alpha)
@@ -206,8 +199,8 @@ def enumerate_families(
     for p in range(1, p_max + 1):
         for q in range(1, q_max + 1):
             for bf in (3, 4):
-                push(_family_ii(p, q, bf))
-            push(_family_iii(p, q))
+                push(_family_root(p, q, bf * p - 1, bf))
+            push(_family_root(p, q, 3 * p + 1 - q, 4))
     return out
 
 

@@ -94,12 +94,6 @@ def _build_rules(args) -> RuleSet:
     return RuleSet(Family(args.family), constraint)
 
 
-def _table_alpha(rules: RuleSet) -> Optional[QuadraticNumber]:
-    if isinstance(rules.constraint, (BeattyDelta, TargetBeatty)):
-        return rules.constraint.alpha
-    return None
-
-
 def _write_output(text: str, path: Optional[str], out) -> None:
     if path is None:
         out.write(text)
@@ -117,7 +111,7 @@ def _cmd_gen(args, out) -> int:
     else:
         table = solve_relaxed(rules.constraint, args.count)
     to_text = ptable_to_json if (args.output or "").endswith(".json") else ptable_to_csv
-    _write_output(to_text(table, _table_alpha(rules)), args.output, out)
+    _write_output(to_text(table, getattr(rules.constraint, "alpha", None)), args.output, out)
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ bounds it one-sidedly, l - k < f, so removing more from the smaller pile is
 always allowed.  The constraint inequality is evaluated on the physical
 (uncanonicalized) destination pile labels with the origin written x0 <= y0;
 only afterwards is the destination sorted back to canonical order.
+BeattyDelta and TargetBeatty build their per-x0 tables by one rule, `_BeattyRows`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
 
@@ -95,35 +96,53 @@ _PLUS_ONE = bytes.maketrans(b"\0\1", b"\1\2")
 _TIMES_THREE = bytes.maketrans(b"\0\1", b"\0\3")
 
 
-def _rows_to_cover(rows: int, x0: int) -> int:
-    """Rows n < m for a table of rows n < `rows` to cover x0, whose cells end
-    at floor(m*alpha): at least twice as many rows, and x0 + 1, since
-    floor((x0+1)*alpha) > x0; at most _TABLE_CAP + 1."""
-    return min(max(2 * rows, x0 + 1, _FIRST_ROWS), _TABLE_CAP + 1)
-
-
 @dataclass(eq=True)
-class BeattyDelta(ConstraintSpec):
+class _BeattyRows(ConstraintSpec):
+    """Per-x0 table shared by the two constraints of the pair with slope alpha.
+
+    `pair` is the slope's `BeattyPair`, built once here.  Row n covers the
+    cells x0 in [floor(n*alpha), floor((n+1)*alpha)); the subclass's
+    `_cells(k, m)` spells out rows k .. m-1 from the pair's step words
+    (`BeattyPair._steps`, `BeattyPair._floors`) without an isqrt per row.
+    A read past the table extends it to rows n < m, with m at least twice
+    the old row count, _FIRST_ROWS and x0 + 1 (floor((x0+1)*alpha) > x0),
+    and at most _TABLE_CAP + 1.  Above _TABLE_CAP nothing is stored, so
+    memory stays bounded: each call returns the subclass's `_exact(x0, n)`,
+    with n = floor((x0+1)/alpha) the count of lower-sequence elements <= x0.
+    """
+
+    alpha: QuadraticNumber
+
+    def __post_init__(self):
+        self.pair = conjugate_beatty(self.alpha)  # validates alpha
+        self._table: List[Optional[int]] = [None]  # x0 = 0 = floor(0*alpha) has no value
+        self._rows = 1  # the table holds rows n < _rows
+
+    def _extend(self, x0: int) -> Optional[int]:
+        if x0 > _TABLE_CAP:
+            return self._exact(x0, beatty_floor(self.pair.alpha.inv(), x0 + 1))
+        k = self._rows
+        m = min(max(2 * k, x0 + 1, _FIRST_ROWS), _TABLE_CAP + 1)
+        self._table += self._cells(k, m)
+        self._rows = m
+        return self._table[x0]
+
+    def params(self) -> dict:
+        return {"alpha": str(self.alpha)}
+
+
+class BeattyDelta(_BeattyRows):
     """Second-difference constraint of the complementary pair with slope alpha.
 
     The value at x0 is delta2(alpha, n) where n = floor((x0+1)/alpha) counts
     the lower-sequence elements at or below x0; on every floor(n*alpha) this
-    is exactly the defining second difference.  `pair` is the slope's
-    `BeattyPair`, built once here.  Values are read from a table indexed by
-    x0, holding delta2(n) on [floor(n*alpha), floor((n+1)*alpha)), built
-    from the pair's step words (`BeattyPair._steps`) without an isqrt per
-    row and extended by doubling; above _TABLE_CAP each call takes four
-    exact floors instead, so memory stays bounded.
+    is exactly the defining second difference.  The table (`_BeattyRows`)
+    holds delta2(n) on every cell of row n; above _TABLE_CAP each call takes
+    four exact floors instead.
     """
 
-    alpha: QuadraticNumber
     kind = "beatty"
     shape = Shape.ORIGIN
-
-    def __post_init__(self):
-        self.pair = conjugate_beatty(self.alpha)  # validates alpha
-        self._table: List[Optional[int]] = [None]  # x0 = 0 has no value
-        self._rows = 1  # the table holds rows n < _rows
 
     def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
         if x0 < 1:
@@ -133,12 +152,11 @@ class BeattyDelta(ConstraintSpec):
         except IndexError:
             return self._extend(x0)
 
-    def _extend(self, x0: int) -> Optional[int]:
-        pair = self.pair
-        if x0 > _TABLE_CAP:
-            return pair.delta2(beatty_floor(pair.alpha.inv(), x0 + 1))
-        k, m = self._rows, _rows_to_cover(self._rows, x0)
-        (_, ua), (b, ub) = pair._steps(m)
+    def _exact(self, x0: int, n: int) -> Optional[int]:
+        return self.pair.delta2(n)
+
+    def _cells(self, k: int, m: int) -> Sequence[Optional[int]]:
+        (_, ua), (b, ub) = self.pair._steps(m)
         # Row n >= 1 covers 1 + ua[n] cells from floor(n*alpha) on, each
         # holding delta2(n) = b - 1 + ub[n-1] - ua[n-1].  One byte per row
         # n = k .. m-1 codes that value as 1 + ub[n-1] - ua[n-1] in {0, 1, 2},
@@ -154,38 +172,23 @@ class BeattyDelta(ConstraintSpec):
             rows = rows.replace(wide, cells)
         values = (b - 2, b - 1, b)
         if b < 256:  # extending a list by bytes appends their values
-            self._table += rows.translate(bytes.maketrans(b"\0\1\2", bytes(values)))
-        else:
-            self._table += [values[c] for c in rows]
-        self._rows = m
-        return self._table[x0]
-
-    def params(self) -> dict:
-        return {"alpha": str(self.alpha)}
+            return rows.translate(bytes.maketrans(b"\0\1\2", bytes(values)))
+        return [values[c] for c in rows]
 
 
-@dataclass(eq=True)
-class TargetBeatty(ConstraintSpec):
+class TargetBeatty(_BeattyRows):
     """Per-destination constraint (floor(n*beta)-y1) - (floor(n*alpha)-x1).
 
     Defined only when x0 = floor(n*alpha) for some n >= 1; from any other
     origin the diagonal move is disallowed.  It is gap-affine: the value is
-    gap(x0) - (y1 - x1) with gap(x0) = floor(n*beta) - floor(n*alpha).
-    `pair` is the slope's `BeattyPair`, built once here.  Gaps are read from
-    a table indexed by x0, holding floor(n*beta) - x0 at x0 = floor(n*alpha)
-    and None elsewhere, built from the pair's rows (`BeattyPair._floors`)
-    without an isqrt per row and extended by doubling; above _TABLE_CAP
-    each call takes three exact floors instead.
+    gap(x0) - (y1 - x1) with gap(x0) = floor(n*beta) - floor(n*alpha).  The
+    table (`_BeattyRows`) holds floor(n*beta) - x0 at x0 = floor(n*alpha)
+    and None elsewhere; above _TABLE_CAP each call takes three exact floors
+    instead.
     """
 
-    alpha: QuadraticNumber
     kind = "target_beatty"
     shape = Shape.GAP_AFFINE
-
-    def __post_init__(self):
-        self.pair = conjugate_beatty(self.alpha)  # validates alpha
-        self._table: List[Optional[int]] = [None]  # x0 = 0 = floor(0*alpha)
-        self._rows = 1  # the table holds rows n < _rows
 
     def gap(self, x0: int) -> Optional[int]:
         if x0 < 0:
@@ -195,26 +198,20 @@ class TargetBeatty(ConstraintSpec):
         except IndexError:
             return self._extend(x0)
 
-    def _extend(self, x0: int) -> Optional[int]:
-        pair = self.pair
-        if x0 > _TABLE_CAP:
-            n = beatty_floor(pair.alpha.inv(), x0 + 1)
-            return beatty_floor(pair.beta, n) - x0 if beatty_floor(self.alpha, n) == x0 else None
-        k, m = self._rows, _rows_to_cover(self._rows, x0)
-        fa, fb = map(list, pair._floors(m + 1))
-        table = self._table
-        table += [None] * (fa[m] - fa[k])
+    def _exact(self, x0: int, n: int) -> Optional[int]:
+        return beatty_floor(self.pair.beta, n) - x0 if beatty_floor(self.alpha, n) == x0 else None
+
+    def _cells(self, k: int, m: int) -> Sequence[Optional[int]]:
+        fa, fb = map(list, self.pair._floors(m + 1))
+        start = fa[k]
+        cells: List[Optional[int]] = [None] * (fa[m] - start)
         for a, b in zip(fa[k:m], fb[k:m]):
-            table[a] = b - a
-        self._rows = m
-        return table[x0]
+            cells[a - start] = b - a
+        return cells
 
     def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
         g = self.gap(x0)
         return None if g is None else g - (y1 - x1)
-
-    def params(self) -> dict:
-        return {"alpha": str(self.alpha)}
 
 
 @dataclass(eq=True)
@@ -297,9 +294,10 @@ def legal_moves(rules: RuleSet, origin: Position) -> Set[Position]:
 def is_legal_move(rules: RuleSet, origin: Position, dest: Position) -> bool:
     """Membership form of legal_moves without enumerating the whole set."""
     x0, y0 = origin
-    canonical(x0, y0)  # raises on a negative pile
+    if canonical(x0, y0) != origin:  # canonical raises on a negative pile
+        raise ValueError("origin must be canonical (x <= y)")
     dx, dy = dest
-    if not 0 <= dx <= dy or x0 > y0:
+    if not 0 <= dx <= dy:
         return False
     if dest == origin:
         return False

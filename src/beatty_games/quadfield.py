@@ -195,7 +195,11 @@ class QuadraticNumber:
         )
 
     def __rsub__(self, other):
-        return -(self - other)
+        pr = self._pair(other)
+        if pr is None:
+            return NotImplemented
+        a, b = pr
+        return b - a
 
     def __mul__(self, other):
         pr = self._pair(other)
@@ -298,11 +302,10 @@ class QuadraticNumber:
         return beatty_floor(self, 1)
 
     def decimal(self, digits: int = 12) -> str:
-        """Truncated decimal rendering (display aid only, never authoritative)."""
+        """Decimal rendering truncated toward zero (display aid only, never authoritative)."""
         scale = 10 ** digits
-        v = beatty_floor(self, scale)
-        sign = "-" if v < 0 else ""
-        v = abs(v)
+        v = beatty_floor(-self if self < 0 else self, scale)
+        sign = "-" if self < 0 else ""
         return f"{sign}{v // scale}.{v % scale:0{digits}d}"
 
 

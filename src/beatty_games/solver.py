@@ -41,6 +41,7 @@ import io
 import itertools
 import json
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter, sub
@@ -200,7 +201,7 @@ def _doublemex_origin_only(value, count: int) -> Tuple[Tuple[int, int], ...]:
     pairs = [(0, 0)]
     gaps = [0]  # e_k = b_k - a_k
     used = {0}  # above a_n these are all prior b_k
-    covers: Dict[int, _CoveredRuns] = {}
+    covers: Dict[int, _CoveredRuns] = defaultdict(_CoveredRuns)
     a = 0
     for _ in range(1, count):
         a += 1  # the mex only grows
@@ -209,9 +210,7 @@ def _doublemex_origin_only(value, count: int) -> Tuple[Tuple[int, int], ...]:
         f = value(0, 0, a)
         d = 0  # with no interval b = a_n, the mex, which no pair has used
         if f is not None and f >= 1:
-            cover = covers.get(f)
-            if cover is None:
-                cover = covers[f] = _CoveredRuns()
+            cover = covers[f]
             k = cover.matured
             while k < len(pairs) and a - pairs[k][0] >= f:
                 e = gaps[k]

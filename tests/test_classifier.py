@@ -190,10 +190,12 @@ class TestFamilyConstructors:
         # perfect-square discriminants give rational roots
         assert family_ii_alpha(2, 3, 3) is None
         assert family_iii_alpha(1, 4) is None
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^beta_floor must be 3 or 4$"):
             family_ii_alpha(1, 1, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^p and q must be >= 1$"):
             family_iii_alpha(0, 1)
+        with pytest.raises(ValueError, match="^p and q must be >= 1$"):  # checked first
+            family_ii_alpha(1, 0, 5)
 
     def test_constructor_outputs_classify_compatible(self):
         for p in range(1, 5):

@@ -193,6 +193,12 @@ GOLDEN_CASES = {
                        "--count", "10", "--bound", "30"],
     "oracle_parity_half_50.csv": ["oracle", "--family", "modified", "--parity-half",
                                   "--bound", "50"],
+    # TargetBeatty: 200 pairs read past the 64-row first table through two
+    # doublings; the oracle reads it through `value`.
+    "gen_target_beatty_a55_200.csv": ["gen", "--family", "modified", "--target-beatty",
+                                      A55_TEXT, "--count", "200"],
+    "oracle_relaxed_target_phi_60.csv": ["oracle", "--family", "relaxed", "--target-beatty",
+                                         PHI_TEXT, "--bound", "60"],
 }
 # These are written to the --output file, which is read back.
 GOLDEN_WRITTEN = {

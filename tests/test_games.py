@@ -214,6 +214,9 @@ class TestIsLegalMove:
                 legal_moves(rules, Position(-3, -1))
             with pytest.raises(ValueError, match="pile sizes must be non-negative"):
                 is_legal_move(rules, Position(-3, -1), Position(0, 0))
+            for move in (legal_moves, lambda rules, pos: is_legal_move(rules, pos, Position(1, 1))):
+                with pytest.raises(ValueError, match="origin must be canonical"):
+                    move(rules, Position(3, 2))
 
     def test_matches_enumeration_randomized(self):
         import random

@@ -174,6 +174,13 @@ class TestArithmetic:
         assert PHI + 1 == QuadraticNumber(3, 1, 2, 5)
         assert 1 < PHI < 2
 
+    def test_reflected_subtraction(self):
+        assert 1 - PHI == QuadraticNumber(1, -1, 2, 5)
+        assert Fraction(1, 2) - PHI == QuadraticNumber(0, -1, 2, 5)
+        # An unsupported left operand is named on the left.
+        with pytest.raises(TypeError, match="'str' and 'QuadraticNumber'"):
+            "a" - PHI
+
     @given(quads, quads.filter(lambda x: x.D in (2, 5)))
     def test_add_sub_roundtrip(self, x, y):
         if x.D != y.D and x.q and y.q:
@@ -210,6 +217,14 @@ class TestArithmetic:
 
 
 class TestStringFormat:
+    def test_decimal_truncates_toward_zero(self):
+        root2 = QuadraticNumber.sqrt(2)
+        assert root2.decimal(3) == "1.414"
+        assert (-root2).decimal(3) == "-1.414"
+        assert (1 - PHI).decimal(4) == "-0.6180"
+        assert QuadraticNumber.rational(-7, 4, D=5).decimal(1) == "-1.7"
+        assert QuadraticNumber.rational(0, 1, D=5).decimal(2) == "0.00"
+
     def test_round_trip(self):
         for text in ["(5+1*sqrt(5))/5", "(-3+1*sqrt(19))/1", "(1-2*sqrt(3))/7"]:
             x = QuadraticNumber.from_string(text)
