@@ -60,13 +60,6 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 
 
-def _parse_alpha(text: str) -> QuadraticNumber:
-    alpha = QuadraticNumber.from_string(text)
-    if alpha.q == 0 or not (1 < alpha < 2):
-        raise ValueError(f"alpha must be an irrational in (1, 2), got {text!r}")
-    return alpha
-
-
 def _add_constraint_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=["modified", "relaxed"], default="modified")
     group = parser.add_mutually_exclusive_group(required=False)
@@ -84,9 +77,9 @@ def _build_rules(args) -> RuleSet:
     if args.constant is not None:
         constraint = Constant(args.constant)
     elif args.beatty is not None:
-        constraint = BeattyDelta(_parse_alpha(args.beatty))
+        constraint = BeattyDelta(QuadraticNumber.from_string(args.beatty))
     elif args.target_beatty is not None:
-        constraint = TargetBeatty(_parse_alpha(args.target_beatty))
+        constraint = TargetBeatty(QuadraticNumber.from_string(args.target_beatty))
     elif args.parity_half:
         constraint = ParityHalf()
     else:
@@ -146,7 +139,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    alpha = _parse_alpha(args.alpha)
+    alpha = QuadraticNumber.from_string(args.alpha)
     result = classify_alpha(alpha)
     if args.json:
         out.write(classification_to_json(result) + "\n")
@@ -156,7 +149,7 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_inverse(args, out) -> int:
-    alpha = _parse_alpha(args.alpha)
+    alpha = QuadraticNumber.from_string(args.alpha)
     rules, constraint = inverse_solve(alpha)
     if rules.family is Family.MODIFIED:
         table = solve_doublemex(constraint, args.count)
@@ -205,8 +198,6 @@ def _explain_illegal(rules: RuleSet, pos: Position, k: int, l: int) -> str:
         return "must remove at least one token"
     if k > x0 or l > y0:
         return f"cannot remove {k} from pile A({x0}) / {l} from pile B({y0})"
-    if k == 0 or l == 0:
-        return "that single-pile removal is not legal here"
     d1, d2 = x0 - k, y0 - l
     bound = rules.constraint.value(d1, d2, x0)
     diff = l - k
@@ -241,8 +232,8 @@ def play_session(
     pos = canonical(start.x, start.y)
     if pos == (0, 0):
         raise ValueError("start position must have tokens")
-    print_fn(f"playing {rules.describe()}")
     pset = retrograde_oracle(rules, pos.y)
+    print_fn(f"playing {rules.describe()}")
     print_fn('moves look like "take 2 from pile A, 3 from pile B"; "quit" resigns')
     while True:
         print_fn(f"position: pile A = {pos.x}, pile B = {pos.y}")
@@ -281,7 +272,7 @@ def play_session(
 
 def _cmd_play(args, out) -> int:
     if args.alpha is not None:
-        rules, _ = inverse_solve(_parse_alpha(args.alpha))
+        rules, _ = inverse_solve(QuadraticNumber.from_string(args.alpha))
     else:
         rules = _build_rules(args)
     if args.start is not None:

@@ -32,6 +32,16 @@ O(#P) memory; the keys it evaluates, which a strict ExplicitTable must hold,
 are (d1, d2, x) with d1 < x <= bound and d2 < bound.  The oracle and the
 general double-mex path share that row sweep; the tests hold both to a naive
 search over legal_moves.
+
+Table rules: a table starts at (0, 0), its a_n strictly increase, a_n <= b_n,
+and a DOUBLE_MEX or RELAXED_RECURRENCE table uses no value twice (a tie
+a_n = b_n uses it once).  `_checked_table` checks them only where a table can
+break them: in the two parsers, whose pairs come from outside the program,
+and in recurrence_closed, where a negative f can push b_n below a_n.  The
+other paths keep them by construction: a_n is the mex; each double-mex path
+picks b_n >= a_n among unused values; under f >= 0 the relaxed b_n strictly
+increases and b_n >= a_n + f; oracle_table sorts canonical P-positions, (0, 0)
+among them, with distinct smaller piles; cli's verify keeps a subsequence.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter, sub
+from operator import sub
 from typing import Dict, List, Optional, Set, Tuple
 
 from .games import (
@@ -75,46 +85,41 @@ class TableSource(Enum):
 
 @dataclass(frozen=True)
 class PTable:
-    """Ordered P-position pairs (a_n, b_n) with the generator that produced them."""
+    """P-position pairs (a_n, b_n) and their generator: a record that checks nothing."""
 
     pairs: Tuple[Tuple[int, int], ...]
     source: TableSource
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("a table needs at least the terminal pair")
-        if self.pairs[0] != (0, 0):
-            raise ValueError("tables start at (0, 0)")
-        prev_a = -1
-        ties = 0  # pairs with a == b: their value counts once
-        for a, b in self.pairs:
-            if a <= prev_a:
-                raise ValueError("a_n must be strictly increasing")
-            if b < a:
-                raise ValueError(f"pair ({a}, {b}) violates a <= b")
-            ties += b == a
-            prev_a = a
-        if self.source in (TableSource.DOUBLE_MEX, TableSource.RELAXED_RECURRENCE):
-            # The a's are distinct, so no value repeats iff the b's are
-            # distinct and the only a's among them are ties.  The walk only
-            # names the repeated value.
-            bs = set(map(itemgetter(1), self.pairs))
-            if len(bs) == len(self.pairs) and len(bs.intersection(map(itemgetter(0), self.pairs))) == ties:
-                return
-            seen: Set[int] = set()
-            for a, b in self.pairs[1:]:
-                for v in {a, b}:
-                    if v in seen:
-                        raise ValueError(f"value {v} repeats in the table")
-                    seen.add(v)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
 
+def _checked_table(pairs: Tuple[Tuple[int, int], ...], source: TableSource) -> PTable:
+    """The table of these pairs, if they keep the module docstring's table rules."""
+    if not pairs:
+        raise ValueError("a table needs at least the terminal pair")
+    if pairs[0] != (0, 0):
+        raise ValueError("tables start at (0, 0)")
+    prev_a = -1
+    for a, b in pairs:
+        if a <= prev_a:
+            raise ValueError("a_n must be strictly increasing")
+        if b < a:
+            raise ValueError(f"pair ({a}, {b}) violates a <= b")
+        prev_a = a
+    if source in (TableSource.DOUBLE_MEX, TableSource.RELAXED_RECURRENCE):
+        seen: Set[int] = set()
+        for a, b in pairs[1:]:
+            for v in {a, b}:
+                if v in seen:
+                    raise ValueError(f"value {v} repeats in the table")
+                seen.add(v)
+    return PTable(pairs, source)
+
+
 def recurrence_closed(constraint: ConstraintSpec, count: int) -> PTable:
     """First `count` pairs of the closed recurrence, whether or not they are P."""
-    return PTable(_recurrence(constraint.value, count, False), TableSource.CLOSED_RECURRENCE)
+    return _checked_table(_recurrence(constraint.value, count, False), TableSource.CLOSED_RECURRENCE)
 
 
 def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
@@ -486,7 +491,7 @@ def ptable_from_csv(text: str) -> PTable:
         if len(row) < 3:
             raise ValueError(f"short CSV row: {row}")
         pairs.append((int(row[1]), int(row[2])))
-    return PTable(tuple(pairs), source)
+    return _checked_table(tuple(pairs), source)
 
 
 def ptable_to_json(table: PTable, alpha: Optional[QuadraticNumber] = None) -> str:
@@ -515,7 +520,7 @@ def ptable_from_json(text: str) -> PTable:
         raise ValueError(f"malformed ptable: {exc}") from exc
     if any(type(x) is not int for pair in pairs for x in pair):  # JSON true/false are bools
         raise ValueError("malformed ptable: pair entries must be integers")
-    return PTable(pairs, source)
+    return _checked_table(pairs, source)
 
 
 def positions_to_csv(positions: Set[Position]) -> str:

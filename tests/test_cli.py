@@ -322,11 +322,41 @@ def test_oracle_bound_above_the_cap_exits_two(capsys):
     assert err == "error: oracle bound 4097 exceeds the cap 4096\n"
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ("(3+1*sqrt(2))/1", "alpha must lie in (1, 2), got (3+1*sqrt(2))/1"),
+    ("(1+1*sqrt(4))/2", "alpha must be irrational"),  # sqrt(4) = 2: alpha = 3/2
+])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha"],
+    ["inverse", "--alpha"],
+    ["gen", "--count", "5", "--beatty"],
+    ["oracle", "--bound", "10", "--target-beatty"],
+    ["play", "--alpha"],
+])
+def test_slope_outside_the_range_exits_two(argv, alpha, message, monkeypatch, capsys):
+    # Every slope option builds a BeattyPair, which checks alpha, before any output.
+    monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+    assert run(argv + [alpha]) == (EXIT_PARSE, "")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag", ["--p-max", "--q-max", "--t-max"])
 def test_family_bound_above_the_cap_exits_two(flag, capsys):
     assert run(["families", flag, str(MAX_FAMILY_BOUND + 1)]) == (EXIT_PARSE, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and f"[1, {MAX_FAMILY_BOUND}]" in err
+
+
+def play(monkeypatch, capsys, argv, lines=()):
+    """`main(["play", *argv])` with `lines` on stdin: (exit code, stdout).
+
+    `input` reads the lines from stdin and, stdin not being a terminal,
+    writes its prompts to stdout, where main writes the rest.
+    """
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    capsys.readouterr()
+    code = main(["play", *argv])
+    return code, capsys.readouterr().out
 
 
 class TestPlay:
@@ -385,6 +415,67 @@ class TestPlay:
         move = choose_engine_move(rules, Position(1, 2), pset)
         assert move == Position(1, 1)  # one token from the larger pile
 
+    def test_start(self, monkeypatch, capsys):
+        argv = ["--family", "modified", "--constant", "1", "--start", "5", "8"]
+        assert play(monkeypatch, capsys, argv, ["quit"]) == (
+            EXIT_OK, (GOLDEN / "play_constant1_5_8.txt").read_text())
+        code, out = play(monkeypatch, capsys, argv, ["take 2 from pile A, 3 from pile B", "quit"])
+        assert code == EXIT_OK
+        # (3, 5) is a P-position: the engine stalls, one token from the larger pile
+        assert "your move> engine moves to (pile A = 3, pile B = 4)\n" in out
+
+    def test_engine_win_announced(self, monkeypatch, capsys):
+        code, out = play(monkeypatch, capsys, ["--constant", "1", "--start", "1", "2"],
+                         ["take 1 from pile A"])
+        assert code == EXIT_OK
+        assert out.endswith("your move> engine moves to (pile A = 0, pile B = 0)\nengine wins\n")
+
+    def test_alpha_picks_the_inverse_rules(self, monkeypatch, capsys):
+        code, out = play(monkeypatch, capsys, ["--alpha", "(-3+1*sqrt(19))/1", "--start", "7", "3"])
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == (
+            "playing modified two-pile game, constraint beatty({'alpha': '(-3+1*sqrt(19))/1'})")
+        assert "position: pile A = 3, pile B = 7" in out
+        assert out.endswith("your move> engine wins (resignation)\n")  # end of input resigns
+
+    def test_random_start_is_seeded(self, monkeypatch, capsys):
+        starts = set()
+        for seed in range(6):
+            argv = ["--constant", "2", "--random-bound", "30", "--seed", str(seed)]
+            code, out = play(monkeypatch, capsys, argv, ["quit"])
+            assert code == EXIT_OK and play(monkeypatch, capsys, argv, ["quit"]) == (code, out)
+            rng = random.Random(seed)
+            x, y = canonical(rng.randint(1, 30), rng.randint(1, 30))
+            assert f"position: pile A = {x}, pile B = {y}\n" in out
+            starts.add((x, y))
+        assert len(starts) > 1
+
+    @pytest.mark.parametrize("start, message", [
+        (["0", "0"], "start position must have tokens"),
+        (["5000", "5000"], "oracle bound 5000 exceeds the cap 4096"),
+    ])
+    def test_bad_start_exits_two_before_any_output(self, monkeypatch, capsys, start, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        assert run(["play", "--constant", "1", "--start", *start]) == (EXIT_PARSE, "")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_explanations(self, monkeypatch, capsys, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text('{"family": "modified", "constraint": {"kind": "table", "entries": []}}')
+        for argv, line, said in [
+            (["--family", "relaxed", "--constant", "1"], "take 1 from pile A, 3 from pile B",
+             "illegal move: (6-3)-(4-3) = 2 >= f(4) = 1"),
+            (["--rules", str(rules)], "take 1 from pile A, 1 from pile B",
+             "illegal move: diagonal from pile A = 4 is disallowed (constraint undefined)"),
+            (["--constant", "1"], "take 1 from pile A, 2 from pile A",
+             "could not read that move: each pile may appear once"),
+        ]:
+            code, out = play(monkeypatch, capsys, argv + ["--start", "4", "6"], [line, "quit"])
+            assert code == EXIT_OK
+            assert out.splitlines()[3:6] == [
+                f"your move> {said}", "position: pile A = 4, pile B = 6",
+                "your move> engine wins (resignation)"], argv
+
     def test_engine_never_illegal_randomized(self):
         # random sessions: a random-legal-move player vs the engine
         rng = random.Random(7)
@@ -419,6 +510,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "Family I" in proc.stdout
+
+    def test_play_golden_through_a_pipe(self):
+        # Through a pipe `input` writes the prompts to stdout, so they are part of the golden.
+        proc = subprocess.run(
+            [sys.executable, "-m", "beatty_games.cli", "play", "--family", "modified",
+             "--constant", "1", "--start", "5", "8"],
+            input=b"quit\n", capture_output=True,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout == (GOLDEN / "play_constant1_5_8.txt").read_bytes()
 
 
 # -- fuzz ---------------------------------------------------------------------------

@@ -148,6 +148,14 @@ class TestArithmetic:
         assert QuadraticNumber(2 - 1, 1, 2, 5) == PHI
         assert not PHI < PHI
 
+    def test_equal_rationals_hash_equal(self):
+        # __eq__ ignores the radicand of a rational, so __hash__ must too
+        x, y = QuadraticNumber.rational(3, 2, D=5), QuadraticNumber.rational(3, 2, D=2)
+        assert x == y == Fraction(3, 2)
+        assert hash(x) == hash(y) == hash(Fraction(3, 2))
+        assert len({x, y, Fraction(3, 2)}) == 1
+        assert hash(QuadraticNumber.rational(4, 2, D=3)) == hash(2)
+
     def test_normalization(self):
         assert QuadraticNumber(0, 1, 2, 8) == QuadraticNumber(0, 1, 1, 2)
         assert QuadraticNumber(2, 4, 6, 5) == QuadraticNumber(1, 2, 3, 5)

@@ -422,6 +422,9 @@ def closed_reference(constraint, count):
         b = f + b_prev + a - a_prev
         stream.add(b)
         pairs.append((a, b))
+    for a, b in pairs:  # a negative f can push b below a; the a's are mex values
+        if b < a:
+            raise ValueError(f"pair ({a}, {b}) violates a <= b")
     return PTable(tuple(pairs), TableSource.CLOSED_RECURRENCE)
 
 
@@ -640,19 +643,36 @@ class TestDetectGap:
         assert bool(want) != classify_alpha(alpha).compatible
 
 
+def parsers(pairs, source):
+    """Calls that write the pairs as CSV and as JSON and parse each back: only
+    the parsers (and recurrence_closed) check a table."""
+    table = PTable(tuple(pairs), source)
+    return (
+        lambda: ptable_from_csv(ptable_to_csv(table)),
+        lambda: ptable_from_json(ptable_to_json(table)),
+    )
+
+
 class TestPTableValidation:
     def test_must_start_at_origin(self):
-        with pytest.raises(ValueError):
-            PTable(((1, 2),), TableSource.ORACLE)
+        for parse in parsers(((1, 2),), TableSource.ORACLE):
+            with pytest.raises(ValueError, match=r"^tables start at \(0, 0\)$"):
+                parse()
+        for parse in parsers((), TableSource.ORACLE):
+            with pytest.raises(ValueError, match="^a table needs at least the terminal pair$"):
+                parse()
 
     def test_a_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            PTable(((0, 0), (2, 3), (1, 5)), TableSource.ORACLE)
+        for parse in parsers(((0, 0), (2, 3), (1, 5)), TableSource.ORACLE):
+            with pytest.raises(ValueError, match="^a_n must be strictly increasing$"):
+                parse()
 
     def test_no_reuse_for_recurrence_sources(self):
-        with pytest.raises(ValueError, match="repeats"):
-            PTable(((0, 0), (1, 3), (2, 3)), TableSource.DOUBLE_MEX)
-        PTable(((0, 0), (1, 3), (2, 3)), TableSource.ORACLE)  # oracle tables unchecked
+        for parse in parsers(((0, 0), (1, 3), (2, 3)), TableSource.DOUBLE_MEX):
+            with pytest.raises(ValueError, match="repeats"):
+                parse()
+        for parse in parsers(((0, 0), (1, 3), (2, 3)), TableSource.ORACLE):
+            parse()  # oracle tables unchecked
 
     @pytest.mark.parametrize("source", [TableSource.DOUBLE_MEX, TableSource.RELAXED_RECURRENCE])
     @pytest.mark.parametrize("pairs, repeated", [
@@ -662,15 +682,19 @@ class TestPTableValidation:
         (((0, 0), (1, 2), (3, 9), (4, 9)), 9),
     ])
     def test_repeat_across_pairs_names_the_value(self, source, pairs, repeated):
-        with pytest.raises(ValueError, match=rf"^value {repeated} repeats in the table$"):
-            PTable(pairs, source)
+        for parse in parsers(pairs, source):
+            with pytest.raises(ValueError, match=rf"^value {repeated} repeats in the table$"):
+                parse()
+        # closed and oracle tables are not repeat-checked
         for unchecked in (TableSource.CLOSED_RECURRENCE, TableSource.ORACLE):
-            assert PTable(pairs, unchecked).pairs == pairs
+            for parse in parsers(pairs, unchecked):
+                assert parse() == PTable(pairs, unchecked)
 
     @pytest.mark.parametrize("source", [TableSource.DOUBLE_MEX, TableSource.RELAXED_RECURRENCE])
     def test_a_equal_b_is_not_a_repeat(self, source):
         for pairs in (((0, 0), (1, 1)), ((0, 0), (1, 1), (2, 4), (3, 3), (5, 6))):
-            assert PTable(pairs, source).pairs == pairs
+            for parse in parsers(pairs, source):
+                assert parse().pairs == pairs
 
     def test_repeat_check_matches_a_value_walk(self):
         rng = random.Random(20261018)
@@ -681,12 +705,19 @@ class TestPTableValidation:
                 pairs.append((a, a + rng.randint(0, 4)))
             values = [v for a, b in pairs[1:] for v in {a, b}]
             repeats = len(values) != len(set(values))
-            try:
-                PTable(tuple(pairs), TableSource.DOUBLE_MEX)
-            except ValueError as exc:
-                assert repeats and "repeats" in str(exc), (pairs, exc)
-            else:
-                assert not repeats, pairs
+            for parse in parsers(pairs, TableSource.DOUBLE_MEX):
+                try:
+                    parse()
+                except ValueError as exc:
+                    assert repeats and "repeats" in str(exc), (pairs, exc)
+                else:
+                    assert not repeats, pairs
+
+    def test_a_below_b_is_checked(self):
+        for source in TableSource:
+            for parse in parsers(((0, 0), (1, 3), (2, 1)), source):
+                with pytest.raises(ValueError, match=r"^pair \(2, 1\) violates a <= b$"):
+                    parse()
 
 
 class TestSerialization:
@@ -725,6 +756,41 @@ class TestSerialization:
     def test_malformed_csv_is_a_value_error(self, text, message):
         with pytest.raises(ValueError, match=message):
             ptable_from_csv(text)
+
+    def test_every_generator_path_parses_back(self):
+        # No generator checks its own table; the parsers do.  So every path's
+        # output must read back unchanged, through JSON and through CSV.
+        rng = random.Random(20261021)
+        specs = [Constant(1), Constant(3), BeattyDelta(A55), BeattyDelta(A19),
+                 TargetBeatty(A55), TargetBeatty(PHI), ParityHalf()]
+        for _ in range(40):
+            f = random_origin_f(rng, 150)
+            specs.append(FnConstraint(lambda x1, y1, x0, f=f: f[x0], Shape.ORIGIN))
+        for _ in range(10):
+            g = [None if rng.random() < 0.2 else rng.randint(-3, 7) for _ in range(300)]
+
+            def fn(x1, y1, x0, g=g):
+                return None if g[x0] is None else g[x0] - (y1 - x1)
+
+            specs.append(FnConstraint(fn, Shape.GAP_AFFINE, g.__getitem__))
+        for _ in range(10):
+            specs.append(random_table(rng, 16, origin_only=rng.random() < 0.5))
+        paths = set()
+        for spec in specs:
+            tables = [solve_doublemex(spec, 150)]
+            paths.add(spec.shape)
+            try:
+                tables.append(solve_relaxed(spec, 150))
+                paths.add("relaxed")
+            except HypothesisError:
+                pass
+            for family in Family:
+                tables.append(oracle_table(retrograde_oracle(RuleSet(family, spec), 16)))
+            paths.add("oracle")
+            for table in tables:
+                assert ptable_from_json(ptable_to_json(table)) == table, spec
+                assert ptable_from_csv(ptable_to_csv(table)) == table, spec
+        assert paths == {Shape.ORIGIN, Shape.GAP_AFFINE, Shape.GENERAL, "relaxed", "oracle"}
 
     def test_oracle_table_sorted(self):
         rules = RuleSet(Family.MODIFIED, Constant(1))
