@@ -60,7 +60,7 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 
 
-def _add_constraint_args(parser: argparse.ArgumentParser) -> None:
+def _add_constraint_args(parser: argparse.ArgumentParser):
     parser.add_argument("--family", choices=["modified", "relaxed"], default="modified")
     group = parser.add_mutually_exclusive_group(required=False)
     group.add_argument("--constant", type=int, metavar="T", help="constant constraint t")
@@ -68,6 +68,7 @@ def _add_constraint_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--target-beatty", metavar="ALPHA", help="per-destination Beatty constraint")
     group.add_argument("--parity-half", action="store_true", help="(1+(-1)^(y1+1))*x1/2 constraint")
     group.add_argument("--rules", metavar="FILE", help="JSON ruleset file (overrides --family)")
+    return group
 
 
 def _build_rules(args) -> RuleSet:
@@ -329,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     families.set_defaults(func=_cmd_families)
 
     play = sub.add_parser("play", help="interactive terminal game against the engine")
-    _add_constraint_args(play)
-    play.add_argument("--alpha", help="pick rules via the inverse solver for this slope")
+    _add_constraint_args(play).add_argument("--alpha", help="rules from the inverse solver for this slope")
     play.add_argument("--start", type=int, nargs=2, metavar=("X", "Y"))
     play.add_argument("--random-bound", type=int, default=20)
     play.add_argument("--seed", type=int)

@@ -42,6 +42,7 @@ from typing import Iterator, Optional, Tuple
 
 # Trial division in _square_free takes at most sqrt(MAX_RADICAND) = 10**6 steps.
 MAX_RADICAND = 10**12
+MAX_RAYLEIGH_LIMIT = 10**6  # rayleigh_verify holds about 85 bytes per unit of limit
 
 
 def _square_free(d: int) -> Tuple[int, int]:
@@ -536,8 +537,8 @@ def trichotomy_class(alpha: QuadraticNumber, n: int) -> Trichotomy:
 def rayleigh_verify(pair: BeattyPair, limit: int) -> bool:
     """Check that the two Beatty sequences tile [0, limit] with only 0 shared:
     the rows' values <= limit, sorted once, must read 0, 0, 1, ..., limit."""
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
+    if not 0 <= limit <= MAX_RAYLEIGH_LIMIT:
+        raise ValueError(f"limit must be in [0, {MAX_RAYLEIGH_LIMIT}], got {limit}")
     # floor((limit+1)*gamma) > limit, and each row of floors increases
     rows = pair._floors(limit + 2)
     values = sorted(chain.from_iterable(takewhile(limit.__ge__, row) for row in rows))

@@ -95,7 +95,8 @@ class PTable:
 
 
 def _checked_table(pairs: Tuple[Tuple[int, int], ...], source: TableSource) -> PTable:
-    """The table of these pairs, if they keep the module docstring's table rules."""
+    """The table of these pairs, if they keep the module docstring's table
+    rules.  A repeat is named where it first recurs in a_1, b_1, a_2, b_2, ..."""
     if not pairs:
         raise ValueError("a table needs at least the terminal pair")
     if pairs[0] != (0, 0):
@@ -110,10 +111,10 @@ def _checked_table(pairs: Tuple[Tuple[int, int], ...], source: TableSource) -> P
     if source in (TableSource.DOUBLE_MEX, TableSource.RELAXED_RECURRENCE):
         seen: Set[int] = set()
         for a, b in pairs[1:]:
-            for v in {a, b}:
-                if v in seen:
-                    raise ValueError(f"value {v} repeats in the table")
-                seen.add(v)
+            if a in seen or b in seen:  # b in seen with b == a means a in seen
+                raise ValueError(f"value {a if a in seen else b} repeats in the table")
+            seen.add(a)
+            seen.add(b)
     return PTable(pairs, source)
 
 
@@ -137,15 +138,18 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     up to a bound, at O(count) evaluations per pair, O(count^2) in all.
 
     ORIGIN: f = f(a_n) is evaluated once per pair and the search runs in
-    d = b - a_n.  Pair (0, 0) already covers [0, f-1], which holds every
-    swapped interval.  Once a_n - a_k >= f, pair k's interval is the fixed
-    [e_k-f+1, e_k+f-1] with e_k = b_k - a_k; per value of f those merge
-    into sorted, disjoint covered runs of d, at most one per pair, where one
-    bisection finds the least uncovered d.  A matured interval extends the
-    last run or appends a new one in O(1); only one that starts below the
-    last run's start bisects and splices.  Only the fewer than f younger
-    pairs and the used b's are checked one by one.  Memory O(count);
-    near-linear time for Constant and BeattyDelta while f stays small.
+    d = b - a_n.  Pair (0, 0)'s interval holds [0, f-1] and so every swapped
+    one.  Pair k's is [e_k+1-t, e_k+f-1], e_k = b_k - a_k, at age
+    t = min(a_n - a_k, f): for one f its top is fixed and its bottom falls
+    as a_n rises until the pair matures (t = f).  So what a row covers stays
+    covered at every later row with that f, and per f the intervals merge
+    into sorted, disjoint covered runs of d, at most one per pair.  A row
+    covers the intervals of its f's pairs not yet matured, fewer than f of
+    them young; b_n is the least uncovered d no prior b_k uses: a bisection,
+    then one per used b met.  An interval starting at or above the last
+    run's start grows or appends a run in O(1); one below it bisects and
+    splices.  Memory O(count); near-linear time for Constant and BeattyDelta
+    while f stays small.
 
     GAP_AFFINE, f = g(a_n) - (d2 - d1): every interval ends at
     c + f - 1 = a_n + g - 1, below a_n when g <= 0; when g >= 1, pair
@@ -177,7 +181,9 @@ class _CoveredRuns:
     def __init__(self):
         self.los: List[int] = []
         self.his: List[int] = []
-        self.matured = 0  # pairs k < matured have their intervals covered
+        # Pairs k < matured have their final intervals covered; a younger
+        # pair's interval only grows, so each row with this f covers it again.
+        self.matured = 0
 
     def find(self, d: int) -> int:
         """Least uncovered d' >= d; no run starts right after another ends."""
@@ -216,26 +222,15 @@ def _doublemex_origin_only(value, count: int) -> Tuple[Tuple[int, int], ...]:
         d = 0  # with no interval b = a_n, the mex, which no pair has used
         if f is not None and f >= 1:
             cover = covers[f]
-            k = cover.matured
-            while k < len(pairs) and a - pairs[k][0] >= f:
-                e = gaps[k]
-                cover.cover(e - f + 1, e + f - 1)
-                k += 1
-            cover.matured = k
-            young = [
-                (gaps[j] + 1 - (a - pairs[j][0]), gaps[j] + f - 1) for j in range(k, len(pairs))
-            ]
-            moved = True
-            while moved:
-                d = cover.find(d)
-                moved = False
-                for lo, hi in young:
-                    if lo <= d <= hi:
-                        d = hi + 1
-                        moved = True
-                if a + d in used:
-                    d += 1
-                    moved = True
+            for j in range(cover.matured, len(pairs)):
+                age = a - pairs[j][0]  # falls with j: the matured pairs are a prefix
+                if age >= f:  # matured: the interval is final
+                    cover.matured = j + 1
+                    age = f
+                cover.cover(gaps[j] + 1 - age, gaps[j] + f - 1)
+            d = cover.find(0)
+            while a + d in used:
+                d = cover.find(d + 1)
         b = a + d
         pairs.append((a, b))
         gaps.append(d)

@@ -184,6 +184,9 @@ class TestFamilies:
 GOLDEN_CASES = {
     "gen_beatty_a55.csv": ["gen", "--beatty", A55_TEXT, "--count", "10"],
     "gen_beatty_a55_closed.csv": ["gen", "--beatty", A55_TEXT, "--count", "10", "--closed"],
+    # Pairs other than (0, 0) that are younger than f decide this table from
+    # row 2 on: without their intervals row 2 would be (2, 4), not (2, 6).
+    "gen_beatty_a55_300.csv": ["gen", "--beatty", A55_TEXT, "--count", "300"],
     "gen_parity_half_50.csv": ["gen", "--family", "modified", "--parity-half", "--count", "50"],
     "inverse_a55.txt": ["inverse", "--alpha", A55_TEXT, "--count", "10"],
     "classify_phi.txt": ["classify", "--alpha", PHI_TEXT],
@@ -437,6 +440,22 @@ class TestPlay:
             "playing modified two-pile game, constraint beatty({'alpha': '(-3+1*sqrt(19))/1'})")
         assert "position: pile A = 3, pile B = 7" in out
         assert out.endswith("your move> engine wins (resignation)\n")  # end of input resigns
+
+    @pytest.mark.parametrize("option", [
+        ["--constant", "3"], ["--beatty", A55_TEXT], ["--target-beatty", A55_TEXT],
+        ["--parity-half"], ["--rules", "rules.json"],
+    ])
+    def test_alpha_excludes_constraint_options(self, monkeypatch, capsys, option):
+        # argparse rejects the pair before reading any file or starting play
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        for argv in (["--alpha", PHI_TEXT, *option], [*option, "--alpha", PHI_TEXT]):
+            with pytest.raises(SystemExit) as exc:
+                run(["play", *argv, "--start", "5", "8"])
+            assert exc.value.code == EXIT_PARSE
+            out, err = capsys.readouterr()
+            error = err.splitlines()[-1]
+            assert out == "" and "not allowed with argument" in error
+            assert option[0] in error and "--alpha" in error
 
     def test_random_start_is_seeded(self, monkeypatch, capsys):
         starts = set()

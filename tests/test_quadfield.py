@@ -16,6 +16,7 @@ from beatty_games import quadfield
 from beatty_games.classifier import FamilyLabel, _range_and_solutions, classify_alpha, enumerate_families
 from beatty_games.quadfield import (
     MAX_RADICAND,
+    MAX_RAYLEIGH_LIMIT,
     BeattyPair,
     QuadraticNumber,
     Trichotomy,
@@ -460,6 +461,13 @@ class TestRayleigh:
 
     def test_zero_limit(self):
         assert rayleigh_verify(conjugate_beatty(PHI), 0)
+
+    def test_limit_cap(self):
+        # The stub's rows cost nothing at any limit; the check comes before them.
+        stub = _StubRows([0], [0])
+        for limit in (-1, MAX_RAYLEIGH_LIMIT + 1):
+            with pytest.raises(ValueError, match=rf"^limit must be in \[0, {MAX_RAYLEIGH_LIMIT}\], got"):
+                rayleigh_verify(stub, limit)
 
     def test_broken_pair_rejected_at_type_level(self):
         with pytest.raises(ValueError):

@@ -680,6 +680,7 @@ class TestPTableValidation:
         (((0, 0), (1, 1), (2, 4), (4, 6)), 4),  # b_2 = a_3, after a tie
         (((0, 0), (1, 1), (2, 3), (3, 3)), 3),  # b_2 = the tie a_3 = b_3
         (((0, 0), (1, 2), (3, 9), (4, 9)), 9),
+        (((0, 0), (1, 4), (2, 9), (4, 9)), 4),  # a_3 and b_3 both repeat: a_3 comes first
     ])
     def test_repeat_across_pairs_names_the_value(self, source, pairs, repeated):
         for parse in parsers(pairs, source):
