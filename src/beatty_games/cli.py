@@ -61,7 +61,8 @@ EXIT_HYPOTHESIS = 3
 
 
 def _add_constraint_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--family", choices=["modified", "relaxed"], default="modified")
+    # No default, so play can tell a given --family from none: None reads as modified.
+    parser.add_argument("--family", choices=["modified", "relaxed"], help="default: modified")
     group = parser.add_mutually_exclusive_group(required=False)
     group.add_argument("--constant", type=int, metavar="T", help="constant constraint t")
     group.add_argument("--beatty", metavar="ALPHA", help='Beatty constraint, e.g. "(5+1*sqrt(5))/5"')
@@ -85,7 +86,7 @@ def _build_rules(args) -> RuleSet:
         constraint = ParityHalf()
     else:
         raise ValueError("no constraint given (use --constant/--beatty/--target-beatty/--parity-half)")
-    return RuleSet(Family(args.family), constraint)
+    return RuleSet(Family(args.family or "modified"), constraint)
 
 
 def _write_output(text: str, path: Optional[str], out) -> None:
@@ -273,6 +274,8 @@ def play_session(
 
 def _cmd_play(args, out) -> int:
     if args.alpha is not None:
+        if args.family is not None:
+            raise ValueError("--family does not apply with --alpha: the inverse solver picks the family")
         rules, _ = inverse_solve(QuadraticNumber.from_string(args.alpha))
     else:
         rules = _build_rules(args)

@@ -23,9 +23,10 @@ recurrence expands alpha and beta with one isqrt each, and the steps of
 floor(n*x) are the characteristic Sturmian word of {x}, built as bytes from
 standard words; `pair._floors(m)` gives floor(n*alpha) and floor(n*beta) for
 n < m, each as one `accumulate` over the word translated to floor(x) + step,
-with no isqrt and no Python bytecode per n.  The public `delta2(alpha, n)`
-and `trichotomy_class(alpha, n)` build a new pair, one number, on every call,
-so loops over n should hold it.
+with no isqrt and no Python bytecode per n.  Each slope value holds its pair:
+the first `conjugate_beatty(alpha)` builds and checks it, and every later call
+with that alpha, including those inside the public `delta2(alpha, n)` and
+`trichotomy_class(alpha, n)`, returns the same one.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class QuadraticNumber:
     across different radicands.
     """
 
-    __slots__ = ("p", "q", "r", "D")
+    __slots__ = ("p", "q", "r", "D", "_beatty")
 
     def __init__(self, p: int, q: int, r: int, D: int):
         if r == 0:
@@ -316,6 +317,7 @@ _SET_P = QuadraticNumber.p.__set__
 _SET_Q = QuadraticNumber.q.__set__
 _SET_R = QuadraticNumber.r.__set__
 _SET_D = QuadraticNumber.D.__set__
+_SET_BEATTY = QuadraticNumber._beatty.__set__
 
 
 def _store(x: QuadraticNumber, p: int, q: int, r: int, D: int) -> None:
@@ -479,12 +481,24 @@ def conjugate_beatty(alpha: QuadraticNumber) -> BeattyPair:
 
     For alpha = (p + q*sqrt(D))/r that is (den + r*(p-r) - r*q*sqrt(D))/den with
     den = (p-r)^2 - q^2*D.  BeattyPair validates alpha; the check here keeps den != 0.
+
+    One checked pair per slope object: the first call that succeeds stores the
+    pair in alpha's `_beatty` slot, and every later call with that alpha returns
+    it.  An invalid alpha holds nothing, so it raises on every call.  Equality,
+    hashing, copies and pickles ignore the slot.  alpha and its pair refer to
+    each other; the cycle collector frees the two small objects.
     """
+    try:
+        return alpha._beatty
+    except AttributeError:
+        pass
     if alpha.q == 0:
         raise ValueError("alpha must be irrational")
     p, q, r, D = alpha.p, alpha.q, alpha.r, alpha.D
     den = (p - r) * (p - r) - q * q * D
-    return BeattyPair(alpha, QuadraticNumber._new(den + r * (p - r), -r * q, den, D))
+    pair = BeattyPair(alpha, QuadraticNumber._new(den + r * (p - r), -r * q, den, D))
+    _SET_BEATTY(alpha, pair)
+    return pair
 
 
 def beatty_membership(gamma: QuadraticNumber, n: int) -> bool:
@@ -506,7 +520,7 @@ def beatty_membership(gamma: QuadraticNumber, n: int) -> bool:
 def delta2(alpha: QuadraticNumber, n: int) -> int:
     """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha)).
 
-    Builds the pair on every call; `conjugate_beatty(alpha).delta2(n)` reuses it.
+    Reads the pair that alpha holds (see `conjugate_beatty`).
     """
     if n < 1:
         raise ValueError("delta2 is defined for n >= 1")
@@ -528,8 +542,8 @@ def trichotomy_class(alpha: QuadraticNumber, n: int) -> Trichotomy:
     """Classify n by membership in X = {floor(m/{alpha})} and Y = {floor(m/{beta})}.
 
     The value d of the returned class is delta2(alpha, n+1) - floor(beta) + 1
-    for n >= 0 (see `BeattyPair.trichotomy`).  Builds the pair on every call;
-    `conjugate_beatty(alpha).trichotomy(n)` reuses it.
+    for n >= 0 (see `BeattyPair.trichotomy`).  Reads the pair that alpha
+    holds (see `conjugate_beatty`).
     """
     return conjugate_beatty(alpha).trichotomy(n)
 

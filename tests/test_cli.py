@@ -457,6 +457,15 @@ class TestPlay:
             assert out == "" and "not allowed with argument" in error
             assert option[0] in error and "--alpha" in error
 
+    @pytest.mark.parametrize("family", ["modified", "relaxed"])
+    def test_alpha_excludes_family(self, monkeypatch, capsys, family):
+        # the inverse solver picks the family; a given one is refused, not ignored
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        for argv in (["--family", family, "--alpha", PHI_TEXT], ["--alpha", PHI_TEXT, "--family", family]):
+            assert run(["play", *argv, "--start", "5", "8"]) == (EXIT_PARSE, "")
+            assert capsys.readouterr() == ("",
+                "error: --family does not apply with --alpha: the inverse solver picks the family\n")
+
     def test_random_start_is_seeded(self, monkeypatch, capsys):
         starts = set()
         for seed in range(6):

@@ -13,7 +13,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv, mpf
 
 from beatty_games import quadfield
-from beatty_games.classifier import FamilyLabel, _range_and_solutions, classify_alpha, enumerate_families
+from beatty_games.classifier import (
+    FamilyLabel,
+    _range_and_solutions,
+    classify_alpha,
+    delta2_range,
+    enumerate_families,
+    inverse_solve,
+)
 from beatty_games.quadfield import (
     MAX_RADICAND,
     MAX_RAYLEIGH_LIMIT,
@@ -27,6 +34,7 @@ from beatty_games.quadfield import (
     rayleigh_verify,
     trichotomy_class,
 )
+from beatty_games.solver import detect_gap
 
 iv.prec = 400  # ~120 decimal digits; the interval floor below must be unambiguous
 
@@ -297,6 +305,33 @@ class TestConjugate:
     def test_rejects_out_of_window(self):
         with pytest.raises(ValueError):
             conjugate_beatty(QuadraticNumber(1, 1, 1, 5))
+
+    def test_one_pair_per_slope_value(self):
+        alpha = QuadraticNumber(-3, 1, 1, 19)
+        assert conjugate_beatty(alpha) is conjugate_beatty(alpha)
+        twin = QuadraticNumber(-3, 1, 1, 19)
+        assert twin is not alpha and conjugate_beatty(twin) == conjugate_beatty(alpha)
+
+    def test_every_caller_shares_the_pair(self, monkeypatch):
+        # Counts pairs, not time: the per-n sweeps and every per-slope entry
+        # point read the one pair that the slope value holds.
+        built = []
+        check = BeattyPair.__post_init__
+
+        def counted(pair):
+            check(pair)
+            built.append(pair)
+
+        monkeypatch.setattr(BeattyPair, "__post_init__", counted)
+        alpha = QuadraticNumber(-3, 1, 1, 19)
+        [delta2(alpha, n) for n in range(1, 201)]
+        [trichotomy_class(alpha, n) for n in range(200)]
+        classify_alpha(alpha)
+        delta2_range(alpha)
+        inverse_solve(alpha)
+        detect_gap(alpha, 40)
+        assert rayleigh_verify(conjugate_beatty(alpha), 2000)
+        assert len(built) == 1 and built[0] is conjugate_beatty(alpha)
 
     def test_pair_identity_enforced(self):
         with pytest.raises(ValueError, match="^mismatched radicands: 5 vs 19$"):
@@ -668,6 +703,8 @@ class TestPerSlope:
         ):
             with pytest.raises(ValueError, match=message):
                 call()
+        with pytest.raises(AttributeError):  # an invalid slope holds no pair, so each call checks it
+            alpha._beatty
         with pytest.raises(ValueError, match="delta2 is defined for n >= 1"):
             delta2(alpha, 0)
 
@@ -801,6 +838,15 @@ class TestCopyAndPickle:
         for again in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert again == x and repr(again) == repr(x)
             assert_normal(again)
+
+    def test_held_pair_is_not_copied(self):
+        x = QuadraticNumber(5, 1, 5, 5)
+        pair = conjugate_beatty(x)
+        for again in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert again == x and hash(again) == hash(x)
+            with pytest.raises(AttributeError):
+                again._beatty
+            assert conjugate_beatty(again) == pair and conjugate_beatty(again) is not pair
 
     def test_rebuilds_through_the_checking_constructor(self):
         fn, args = A55.__reduce__()
