@@ -33,6 +33,7 @@ from .games import (
     Position,
     RuleSet,
     TargetBeatty,
+    _removal_ok,
     canonical,
     is_legal_move,
     ruleset_from_json,
@@ -185,16 +186,17 @@ def _parse_move(line: str) -> Tuple[int, int]:
     if m is None:
         raise ValueError('say e.g. "take 2 from pile A" or "take 2 from pile A, 3 from pile B"')
     take = {"a": 0, "b": 0}
-    take[m.group(2).lower()] += int(m.group(1))
+    take[m.group(2).lower()] = int(m.group(1))
     if m.group(3) is not None:
         pile = m.group(4).lower()
-        if take[pile]:
+        if pile == m.group(2).lower():
             raise ValueError("each pile may appear once")
-        take[pile] += int(m.group(3))
+        take[pile] = int(m.group(3))
     return take["a"], take["b"]
 
 
 def _explain_illegal(rules: RuleSet, pos: Position, k: int, l: int) -> str:
+    """Why `_removal_ok` refuses taking k from pile A and l from pile B at pos."""
     x0, y0 = pos
     if k == 0 and l == 0:
         return "must remove at least one token"
@@ -252,15 +254,10 @@ def play_session(
         except ValueError as exc:
             print_fn(f"could not read that move: {exc}")
             continue
-        dest_raw = (pos.x - k, pos.y - l)
-        if min(dest_raw) < 0:
+        if not _removal_ok(rules, pos.x, pos.y, k, l):
             print_fn(f"illegal move: {_explain_illegal(rules, pos, k, l)}")
             continue
-        dest = canonical(*dest_raw)
-        if not is_legal_move(rules, pos, dest):
-            print_fn(f"illegal move: {_explain_illegal(rules, pos, k, l)}")
-            continue
-        pos = dest
+        pos = canonical(pos.x - k, pos.y - l)
         if pos == (0, 0):
             print_fn("you win!")
             return "human"

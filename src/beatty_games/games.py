@@ -1,11 +1,14 @@
 """Position model, constraint functions, and move legality for the game families.
 
-Two families share the position model: the modified two-pile game bounds the
-absolute difference of a simultaneous removal, |l - k| < f; relaxed Wythoff
-bounds it one-sidedly, l - k < f, so removing more from the smaller pile is
-always allowed.  The constraint inequality is evaluated on the physical
-(uncanonicalized) destination pile labels with the origin written x0 <= y0;
-only afterwards is the destination sorted back to canonical order.
+Both families share one move rule, `_removal_ok`: from x0 <= y0, take k from
+the smaller pile and l from the larger, at least one token and neither pile
+below zero.  Taking from one pile only is always a move (Nim).  Taking from
+both must satisfy |l - k| < f in the modified two-pile game and l - k < f in
+relaxed Wythoff, so removing more from the smaller pile is always allowed
+there.  f is evaluated on the physical (uncanonicalized) destination
+(x0 - k, y0 - l) and x0; only afterwards is the destination sorted back to
+canonical order.  `legal_moves`, `is_legal_move` and the CLI's `play` all ask
+this rule.
 BeattyDelta and TargetBeatty build their per-x0 tables by one rule, `_BeattyRows`.
 """
 
@@ -261,17 +264,21 @@ class RuleSet:
         return f"{name} game, constraint {self.constraint.kind}({self.constraint.params()})"
 
 
-def _diagonal_ok(rules: RuleSet, x0: int, y0: int, d1: int, d2: int) -> bool:
-    """Legality of removing (x0-d1, y0-d2) from the physical piles."""
-    if d1 > x0 - 1 or d2 > y0 - 1 or d1 < 0 or d2 < 0:
+def _removal_ok(rules: RuleSet, x0: int, y0: int, k: int, l: int) -> bool:
+    """The move rule: may k leave the smaller pile x0 and l the larger pile y0?
+
+    At least one token must leave and neither pile may go negative.  A removal
+    from both piles must also satisfy the family's bound on
+    f(x0 - k, y0 - l, x0); an undefined f (None) forbids it.
+    """
+    if not (0 <= k <= x0 and 0 <= l <= y0) or k == l == 0:
         return False
-    bound = rules.constraint.value(d1, d2, x0)
+    if k == 0 or l == 0:  # Nim: one pile only
+        return True
+    bound = rules.constraint.value(x0 - k, y0 - l, x0)
     if bound is None:
         return False
-    diff = (y0 - d2) - (x0 - d1)
-    if rules.family is Family.MODIFIED:
-        return abs(diff) < bound
-    return diff < bound
+    return (abs(l - k) if rules.family is Family.MODIFIED else l - k) < bound
 
 
 def legal_moves(rules: RuleSet, origin: Position) -> Set[Position]:
@@ -279,37 +286,23 @@ def legal_moves(rules: RuleSet, origin: Position) -> Set[Position]:
     x0, y0 = origin
     if canonical(x0, y0) != origin:  # canonical raises on a negative pile
         raise ValueError("origin must be canonical (x <= y)")
-    out: Set[Position] = set()
-    for v in range(x0):
-        out.add(canonical(v, y0))
-    for v in range(y0):
-        out.add(canonical(x0, v))
-    for d1 in range(x0):
-        for d2 in range(y0):
-            if _diagonal_ok(rules, x0, y0, d1, d2):
-                out.add(canonical(d1, d2))
-    return out
+    return {
+        canonical(x0 - k, y0 - l)
+        for k in range(x0 + 1)
+        for l in range(y0 + 1)
+        if _removal_ok(rules, x0, y0, k, l)
+    }
 
 
 def is_legal_move(rules: RuleSet, origin: Position, dest: Position) -> bool:
-    """Membership form of legal_moves without enumerating the whole set."""
+    """Membership form of legal_moves: `_removal_ok` on either pile assignment of dest."""
     x0, y0 = origin
     if canonical(x0, y0) != origin:  # canonical raises on a negative pile
         raise ValueError("origin must be canonical (x <= y)")
     dx, dy = dest
-    if not 0 <= dx <= dy:
-        return False
-    if dest == origin:
-        return False
-    # Nim: reduce exactly one physical pile
-    if dy == y0 and dx < x0:
-        return True
-    if dx == x0 and x0 <= dy < y0:
-        return True
-    if dy == x0 and dx < x0:  # reduce the larger pile below the smaller
-        return True
-    # Diagonal: either physical assignment of the destination pair
-    return _diagonal_ok(rules, x0, y0, dx, dy) or _diagonal_ok(rules, x0, y0, dy, dx)
+    return dx <= dy and (
+        _removal_ok(rules, x0, y0, x0 - dx, y0 - dy) or _removal_ok(rules, x0, y0, x0 - dy, y0 - dx)
+    )
 
 
 # -- serialization ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -211,6 +212,15 @@ GOLDEN_WRITTEN = {
     "oracle_parity_half_50.json": ["oracle", "--family", "modified", "--parity-half",
                                    "--bound", "50"],
 }
+# These read their moves from stdin; `input` writes its prompts to stdout.
+GOLDEN_PLAYED = {
+    "play_constant1_5_8.txt": (["play", "--family", "modified", "--constant", "1",
+                                "--start", "5", "8"], "quit\n"),
+    # an illegal move that reaches a legal destination: refused as typed
+    "play_constant1_4_6_illegal.txt": (["play", "--family", "modified", "--constant", "1",
+                                        "--start", "4", "6"],
+                                       "take 1 from pile A, 5 from pile B\nquit\n"),
+}
 
 
 def check_golden(name, tmp_path):
@@ -219,6 +229,15 @@ def check_golden(name, tmp_path):
         path = tmp_path / name
         assert run(GOLDEN_WRITTEN[name] + ["--output", str(path)]) == (EXIT_OK, ""), name
         assert path.read_bytes() == (GOLDEN / name).read_bytes(), name
+    elif name in GOLDEN_PLAYED:
+        argv, typed = GOLDEN_PLAYED[name]
+        stdin, sys.stdin = sys.stdin, io.StringIO(typed)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == EXIT_OK, name
+        finally:
+            sys.stdin = stdin
+        assert out.getvalue().encode() == (GOLDEN / name).read_bytes(), name
     else:
         code, out = run(GOLDEN_CASES[name])
         assert code == (EXIT_DIVERGENCE if name == "verify_a55.txt" else EXIT_OK), name
@@ -226,14 +245,14 @@ def check_golden(name, tmp_path):
 
 
 def test_golden_outputs_are_byte_exact(tmp_path):
-    for name in [*GOLDEN_CASES, *GOLDEN_WRITTEN]:
+    for name in [*GOLDEN_CASES, *GOLDEN_WRITTEN, *GOLDEN_PLAYED]:
         check_golden(name, tmp_path)
 
 
 def test_repeated_calls_share_no_state(tmp_path):
     # One process, one grammar: every golden case forward, then calls that
     # exit early or set flags and files, then every case in reverse.
-    names = [*GOLDEN_CASES, *GOLDEN_WRITTEN]
+    names = [*GOLDEN_CASES, *GOLDEN_WRITTEN, *GOLDEN_PLAYED]
     for name in names:
         check_golden(name, tmp_path)
     for argv, code in [
@@ -422,10 +441,28 @@ class TestPlay:
         argv = ["--family", "modified", "--constant", "1", "--start", "5", "8"]
         assert play(monkeypatch, capsys, argv, ["quit"]) == (
             EXIT_OK, (GOLDEN / "play_constant1_5_8.txt").read_text())
-        code, out = play(monkeypatch, capsys, argv, ["take 2 from pile A, 3 from pile B", "quit"])
+        code, out = play(monkeypatch, capsys, argv, ["take 5 from pile B", "quit"])
         assert code == EXIT_OK
         # (3, 5) is a P-position: the engine stalls, one token from the larger pile
         assert "your move> engine moves to (pile A = 3, pile B = 4)\n" in out
+
+    @pytest.mark.parametrize("family", ["modified", "relaxed"])
+    def test_move_is_judged_as_typed(self, monkeypatch, capsys, family):
+        # |5 - 1| = 4 >= f = 1, though (1, 3) is also reached by taking 3 from each pile
+        argv = ["--family", family, "--constant", "1", "--start", "4", "6"]
+        code, out = play(monkeypatch, capsys, argv, ["take 1 from pile A, 5 from pile B", "quit"])
+        assert code == EXIT_OK
+        assert out.splitlines()[3:6] == [
+            "your move> illegal move: " + ("|(6-1)-(4-3)| = 4 >= f(3,1,4) = 1" if family == "modified"
+                                           else "(6-1)-(4-3) = 4 >= f(4) = 1"),
+            "position: pile A = 4, pile B = 6",
+            "your move> engine wins (resignation)"]
+
+    def test_pile_named_twice_is_refused(self):
+        for line in ("take 0 from pile A, 2 from pile A", "take 0 from pile b, 3 from pile B"):
+            with pytest.raises(ValueError, match="each pile may appear once"):
+                cli._parse_move(line)
+        assert cli._parse_move("take 0 from pile A, 2 from pile B") == (0, 2)
 
     def test_engine_win_announced(self, monkeypatch, capsys):
         code, out = play(monkeypatch, capsys, ["--constant", "1", "--start", "1", "2"],

@@ -168,19 +168,22 @@ class TestLegalMoves:
                     assert 0 <= mv.x <= mv.y
 
     def test_constant_reproduces_t_wythoff(self):
+        # modified: |l - k| < t; relaxed: l - k < t, k taken from the smaller pile
+        bounds = {Family.MODIFIED: lambda k, l: abs(k - l), Family.RELAXED: lambda k, l: l - k}
         for t in (1, 2, 3):
-            rules = RuleSet(Family.MODIFIED, Constant(t))
-            for pos in [Position(5, 8), Position(6, 6), Position(1, 9)]:
-                brute = set()
-                for v in range(pos.x):
-                    brute.add(canonical(v, pos.y))
-                for v in range(pos.y):
-                    brute.add(canonical(pos.x, v))
-                for k in range(1, pos.x + 1):
-                    for l in range(1, pos.y + 1):
-                        if abs(k - l) < t:
-                            brute.add(canonical(pos.x - k, pos.y - l))
-                assert legal_moves(rules, pos) == brute
+            for family, diff in bounds.items():
+                rules = RuleSet(family, Constant(t))
+                for pos in [Position(5, 8), Position(6, 6), Position(1, 9)]:
+                    brute = set()
+                    for v in range(pos.x):
+                        brute.add(canonical(v, pos.y))
+                    for v in range(pos.y):
+                        brute.add(canonical(pos.x, v))
+                    for k in range(1, pos.x + 1):
+                        for l in range(1, pos.y + 1):
+                            if diff(k, l) < t:
+                                brute.add(canonical(pos.x - k, pos.y - l))
+                    assert legal_moves(rules, pos) == brute, (family, t, pos)
 
     def test_relaxed_contains_modified_diagonals(self):
         spec = BeattyDelta(A19)
