@@ -161,7 +161,7 @@ def _family_root(p: int, q: int, m: int, beta_floor: int) -> Optional[BeattyPair
     if beta_floor not in (3, 4):
         raise ValueError("beta_floor must be 3 or 4")
     alpha = QuadraticNumber(2 * q - m, 1, 2 * q, 4 * p * q + m * m)
-    if alpha.is_rational or not (1 < alpha < 2):
+    if alpha.q == 0 or not (1 < alpha < 2):
         return None
     pair = conjugate_beatty(alpha)
     return pair if pair.beta.floor() == beta_floor else None

@@ -69,12 +69,14 @@ def _add_constraint_args(parser: argparse.ArgumentParser):
     group.add_argument("--beatty", metavar="ALPHA", help='Beatty constraint, e.g. "(5+1*sqrt(5))/5"')
     group.add_argument("--target-beatty", metavar="ALPHA", help="per-destination Beatty constraint")
     group.add_argument("--parity-half", action="store_true", help="(1+(-1)^(y1+1))*x1/2 constraint")
-    group.add_argument("--rules", metavar="FILE", help="JSON ruleset file (overrides --family)")
+    group.add_argument("--rules", metavar="FILE", help="JSON ruleset file")
     return group
 
 
 def _build_rules(args) -> RuleSet:
     if args.rules:
+        if args.family is not None:
+            raise ValueError("--family does not apply with --rules: the ruleset file names its family")
         with open(args.rules) as fh:
             return ruleset_from_json(fh.read())
     if args.constant is not None:
@@ -204,12 +206,12 @@ def _explain_illegal(rules: RuleSet, pos: Position, k: int, l: int) -> str:
         return f"cannot remove {k} from pile A({x0}) / {l} from pile B({y0})"
     d1, d2 = x0 - k, y0 - l
     bound = rules.constraint.value(d1, d2, x0)
-    diff = l - k
     if bound is None:
         return f"diagonal from pile A = {x0} is disallowed (constraint undefined)"
+    diff, diff_text = l - k, f"({y0}-{d2})-({x0}-{d1})"
     if rules.family is Family.MODIFIED:
-        return f"|({y0}-{d2})-({x0}-{d1})| = {abs(diff)} >= f({d1},{d2},{x0}) = {bound}"
-    return f"({y0}-{d2})-({x0}-{d1}) = {diff} >= f({x0}) = {bound}"
+        diff, diff_text = abs(diff), f"|{diff_text}|"
+    return f"{diff_text} = {diff} >= f({d1},{d2},{x0}) = {bound}"
 
 
 def choose_engine_move(rules: RuleSet, pos: Position, pset) -> Position:

@@ -10,8 +10,10 @@ rejects a D that is not an int or exceeds MAX_RADICAND and then splits off
 the square part of D by trial division.  Arithmetic results are built by
 the private `QuadraticNumber._new`, which trusts that its D is the radicand
 of an existing instance, hence already square-free, and only normalizes
-sign and gcd.  Comparisons with an int, or with a value of the same field,
-decide the sign of a numerator without building the difference.
+sign and gcd.  Arithmetic takes an int or a value of the same radicand;
+another radicand raises ValueError.  Comparisons with an int, or with a value
+of the same field, decide the sign of a numerator without building the
+difference; rationals (q = 0) also compare and hash equal across radicands.
 
 `BeattyPair` is the per-slope object: `conjugate_beatty(alpha)` builds one
 number, beta, and checks the pair in integers (1 < alpha < 2 and beta > 2 by
@@ -68,8 +70,9 @@ class QuadraticNumber:
 
     Normal form: r > 0, gcd(p, q, r) = 1, D square-free.  A perfect-square
     radicand folds into the rational part (q becomes 0), so q != 0 implies the
-    value is irrational.  Values with q = 0 are rational and compare equal
-    across different radicands.
+    value is irrational.  Values with q = 0 are rational: they compare, and
+    hash, equal across different radicands, but `+`, `-`, `*` and `/` take
+    only ints and values of the same radicand.
     """
 
     __slots__ = ("p", "q", "r", "D", "_beatty")
@@ -109,17 +112,6 @@ class QuadraticNumber:
         # copy and pickle rebuild through the public constructor, which checks D.
         return (QuadraticNumber, (self.p, self.q, self.r, self.D))
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def rational(cls, num: int, den: int = 1, D: int = 2) -> "QuadraticNumber":
-        """Rational value carried inside the field Q(sqrt(D))."""
-        return cls(num, 0, den, D)
-
-    @classmethod
-    def sqrt(cls, D: int) -> "QuadraticNumber":
-        return cls(0, 1, 1, D)
-
     @classmethod
     def from_string(cls, text: str) -> "QuadraticNumber":
         """Parse the canonical text form "(p+q*sqrt(D))/r"."""
@@ -142,44 +134,25 @@ class QuadraticNumber:
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.p}, {self.q}, {self.r}, {self.D})"
 
-    # -- predicates ------------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.q == 0 and self.r == 1
-
     # -- arithmetic ------------------------------------------------------------
 
-    def _pair(self, other) -> Optional[Tuple["QuadraticNumber", "QuadraticNumber"]]:
-        """Coerce to a common field.  Rationals lift freely; true mixed-D raises."""
-        new = QuadraticNumber._new
+    def _pair(self, other):
+        """other as a value of self's field: an int, or a value with self's
+        radicand.  Another radicand raises; another type is NotImplemented."""
         if isinstance(other, int):
-            other = new(other, 0, 1, self.D)
-        elif isinstance(other, Fraction):
-            other = new(other.numerator, 0, other.denominator, self.D)
-        elif not isinstance(other, QuadraticNumber):
-            return None
-        a, b = self, other
-        if a.D != b.D:
-            if b.q == 0:
-                b = new(b.p, 0, b.r, a.D)
-            elif a.q == 0:
-                a = new(a.p, 0, a.r, b.D)
-            else:
-                raise ValueError(f"mismatched radicands: {a.D} vs {b.D}")
-        return a, b
+            return QuadraticNumber._new(other, 0, 1, self.D)
+        if not isinstance(other, QuadraticNumber):
+            return NotImplemented
+        if other.D != self.D:
+            raise ValueError(f"mismatched radicands: {self.D} vs {other.D}")
+        return other
 
     def __add__(self, other):
-        pr = self._pair(other)
-        if pr is None:
-            return NotImplemented
-        a, b = pr
+        b = self._pair(other)
+        if b is NotImplemented:
+            return b
         return QuadraticNumber._new(
-            a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.r * b.r, a.D
+            self.p * b.r + b.p * self.r, self.q * b.r + b.q * self.r, self.r * b.r, self.D
         )
 
     __radd__ = __add__
@@ -188,28 +161,23 @@ class QuadraticNumber:
         return QuadraticNumber._new(-self.p, -self.q, self.r, self.D)
 
     def __sub__(self, other):
-        pr = self._pair(other)
-        if pr is None:
-            return NotImplemented
-        a, b = pr
+        b = self._pair(other)
+        if b is NotImplemented:
+            return b
         return QuadraticNumber._new(
-            a.p * b.r - b.p * a.r, a.q * b.r - b.q * a.r, a.r * b.r, a.D
+            self.p * b.r - b.p * self.r, self.q * b.r - b.q * self.r, self.r * b.r, self.D
         )
 
     def __rsub__(self, other):
-        pr = self._pair(other)
-        if pr is None:
-            return NotImplemented
-        a, b = pr
-        return b - a
+        b = self._pair(other)
+        return b if b is NotImplemented else b - self
 
     def __mul__(self, other):
-        pr = self._pair(other)
-        if pr is None:
-            return NotImplemented
-        a, b = pr
+        b = self._pair(other)
+        if b is NotImplemented:
+            return b
         return QuadraticNumber._new(
-            a.p * b.p + a.q * b.q * a.D, a.p * b.q + a.q * b.p, a.r * b.r, a.D
+            self.p * b.p + self.q * b.q * self.D, self.p * b.q + self.q * b.p, self.r * b.r, self.D
         )
 
     __rmul__ = __mul__
@@ -223,18 +191,12 @@ class QuadraticNumber:
         return QuadraticNumber._new(self.r * self.p, -self.r * self.q, den, self.D)
 
     def __truediv__(self, other):
-        pr = self._pair(other)
-        if pr is None:
-            return NotImplemented
-        a, b = pr
-        return a * b.inv()
+        b = self._pair(other)
+        return b if b is NotImplemented else self * b.inv()
 
     def __rtruediv__(self, other):
-        pr = self._pair(other)
-        if pr is None:
-            return NotImplemented
-        a, b = pr
-        return b * a.inv()
+        b = self._pair(other)
+        return b if b is NotImplemented else b * self.inv()
 
     def conjugate(self) -> "QuadraticNumber":
         """Field conjugate (p - q*sqrt(D))/r."""
@@ -247,22 +209,20 @@ class QuadraticNumber:
         return _sign(self.p, self.q, self.D)
 
     def _cmp(self, other) -> int:
-        # Same field, or one side rational: the sign of the difference is the
-        # sign of its numerator over the positive r's, built from integers.
+        # Against an int, or a value of the same field or with one side
+        # rational: the sign of the difference is the sign of its numerator
+        # over the positive r's, built from integers.
         if isinstance(other, int):
             return _sign(self.p - other * self.r, self.q, self.D)
-        if isinstance(other, QuadraticNumber) and (
-            self.D == other.D or self.q == 0 or other.q == 0
-        ):
-            return _sign(
-                self.p * other.r - other.p * self.r,
-                self.q * other.r - other.q * self.r,
-                self.D if self.q else other.D,
-            )
-        diff = self - other
-        if diff is NotImplemented:
+        if not isinstance(other, QuadraticNumber):
             raise TypeError(f"cannot compare QuadraticNumber with {type(other)!r}")
-        return diff.sign()
+        if self.D != other.D and self.q and other.q:
+            raise ValueError(f"mismatched radicands: {self.D} vs {other.D}")
+        return _sign(
+            self.p * other.r - other.p * self.r,
+            self.q * other.r - other.q * self.r,
+            self.D if self.q else other.D,
+        )
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -277,12 +237,8 @@ class QuadraticNumber:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        # A rational value has gcd(p, r) = 1 and r > 0, the normal form of a
-        # Fraction, so no Fraction is built.
         if isinstance(other, int):
             return self.q == 0 and self.r == 1 and self.p == other
-        if isinstance(other, Fraction):
-            return self.q == 0 and (self.p, self.r) == (other.numerator, other.denominator)
         if not isinstance(other, QuadraticNumber):
             return NotImplemented
         if self.q == 0 and other.q == 0:
@@ -290,12 +246,11 @@ class QuadraticNumber:
         return (self.p, self.q, self.r, self.D) == (other.p, other.q, other.r, other.D)
 
     def __hash__(self):
+        # A rational hashes as the Fraction p/r, so as an int when r == 1 and
+        # alike across radicands, as __eq__ compares it.
         if self.q == 0:
             return hash(Fraction(self.p, self.r))
         return hash((self.p, self.q, self.r, self.D))
-
-    def __bool__(self):
-        return self.p != 0 or self.q != 0
 
     # -- exact floors ------------------------------------------------------------
 

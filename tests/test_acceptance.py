@@ -6,6 +6,7 @@ lines; every expected value is exact and every stated time budget is asserted.
 
 import random
 import time
+from math import isqrt
 
 from beatty_games.classifier import (
     FamilyLabel,
@@ -43,12 +44,12 @@ from beatty_games.solver import (
 PHI = QuadraticNumber(1, 1, 2, 5)
 A55 = QuadraticNumber(5, 1, 5, 5)       # (5+sqrt5)/5
 A19 = QuadraticNumber(-3, 1, 1, 19)     # sqrt19-3
-SQRT2 = QuadraticNumber.sqrt(2)
+SQRT2 = QuadraticNumber(0, 1, 1, 2)
 TEST_ALPHAS = (A55, A19, PHI, SQRT2)
 
 INCOMPATIBLE_FIXTURES = (
     A55,
-    QuadraticNumber.sqrt(3),
+    QuadraticNumber(0, 1, 1, 3),
     QuadraticNumber(1, 1, 2, 7),
     QuadraticNumber(7, 1, 5, 5),
     QuadraticNumber(3, 1, 3, 3),
@@ -215,7 +216,7 @@ def test_criterion_9_rayleigh_complementarity():
 def test_criterion_10_inverse_guarantee():
     def body():
         rng = random.Random(20250811)
-        nonsquares = [d for d in range(2, 51) if QuadraticNumber.sqrt(d).q != 0]
+        nonsquares = [d for d in range(2, 51) if isqrt(d) ** 2 != d]
         alphas = []
         while len(alphas) < 25:
             alpha = QuadraticNumber(

@@ -36,7 +36,7 @@ A19 = QuadraticNumber(-3, 1, 1, 19)
 # floor(beta) = 3 with both excludes unsolvable)
 INCOMPATIBLE = [
     A55,
-    QuadraticNumber.sqrt(3),
+    QuadraticNumber(0, 1, 1, 3),
     QuadraticNumber(1, 1, 2, 7),
     QuadraticNumber(7, 1, 5, 5),
     QuadraticNumber(3, 1, 3, 3),
@@ -62,7 +62,7 @@ class TestDelta2Range:
     def test_range_matches_sampled_values(self):
         from beatty_games.quadfield import delta2
 
-        for alpha in (PHI, A19, A55, QuadraticNumber.sqrt(3)):
+        for alpha in (PHI, A19, A55, QuadraticNumber(0, 1, 1, 3)):
             sampled = {delta2(alpha, n) for n in range(1, 1000)}
             assert sampled == set(delta2_range(alpha))
 
@@ -93,7 +93,7 @@ class TestClassify:
             QuadraticNumber(6, 1, 6, 2),
             QuadraticNumber(2, 1, 7, 39),
         ):
-            assert alpha < QuadraticNumber.rational(5, 4, D=alpha.D)
+            assert alpha < QuadraticNumber(5, 0, 4, alpha.D)
             res = classify_alpha(alpha)
             assert res.family is FamilyLabel.IV and res.beta_floor >= 5
 
@@ -129,7 +129,7 @@ class TestGoldenAlpha:
         assert golden_alpha(1) == PHI
 
     def test_t2_is_sqrt2(self):
-        assert golden_alpha(2) == QuadraticNumber.sqrt(2)
+        assert golden_alpha(2) == QuadraticNumber(0, 1, 1, 2)
 
     def test_t3(self):
         alpha = golden_alpha(3)

@@ -326,6 +326,24 @@ class TestRulesFile:
         code, _ = run(["gen", "--rules", str(path), "--count", "5"])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--count", "3"],
+        ["oracle", "--bound", "10"],
+        ["verify", "--count", "5", "--bound", "12"],
+        ["play", "--start", "4", "6"],
+    ])
+    @pytest.mark.parametrize("family", ["modified", "relaxed"])
+    def test_family_with_rules_exits_two(self, tmp_path, monkeypatch, capsys, argv, family):
+        # the file names its family; a given --family is refused, not ignored
+        path = tmp_path / "rules.json"
+        path.write_text('{"family": "modified", "constraint": {"kind": "constant", "t": 1}}')
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        for order in ([*argv, "--family", family, "--rules", str(path)],
+                      [*argv, "--rules", str(path), "--family", family]):
+            assert run(order) == (EXIT_PARSE, "")
+            assert capsys.readouterr() == ("",
+                "error: --family does not apply with --rules: the ruleset file names its family\n")
+
 
 @pytest.mark.parametrize("argv", [
     ["gen", "--constant", "1"],
@@ -454,7 +472,7 @@ class TestPlay:
         assert code == EXIT_OK
         assert out.splitlines()[3:6] == [
             "your move> illegal move: " + ("|(6-1)-(4-3)| = 4 >= f(3,1,4) = 1" if family == "modified"
-                                           else "(6-1)-(4-3) = 4 >= f(4) = 1"),
+                                           else "(6-1)-(4-3) = 4 >= f(3,1,4) = 1"),
             "position: pile A = 4, pile B = 6",
             "your move> engine wins (resignation)"]
 
@@ -529,7 +547,7 @@ class TestPlay:
         rules.write_text('{"family": "modified", "constraint": {"kind": "table", "entries": []}}')
         for argv, line, said in [
             (["--family", "relaxed", "--constant", "1"], "take 1 from pile A, 3 from pile B",
-             "illegal move: (6-3)-(4-3) = 2 >= f(4) = 1"),
+             "illegal move: (6-3)-(4-3) = 2 >= f(3,3,4) = 1"),
             (["--rules", str(rules)], "take 1 from pile A, 1 from pile B",
              "illegal move: diagonal from pile A = 4 is disallowed (constraint undefined)"),
             (["--constant", "1"], "take 1 from pile A, 2 from pile A",

@@ -97,7 +97,7 @@ class TestRowTables:
     """BeattyDelta and TargetBeatty read a per-x0 table built from the rows."""
 
     SLOPES = [
-        PHI, A55, A19, QuadraticNumber.sqrt(2),
+        PHI, A55, A19, QuadraticNumber(0, 1, 1, 2),
         QuadraticNumber(10**9, 1, 10**9, 2),  # beta about 7*10^8
         QuadraticNumber(2 * 10**9, -1, 10**9, 2),  # {beta} about 1.4*10^-9
     ]

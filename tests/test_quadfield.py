@@ -6,7 +6,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -43,9 +43,16 @@ A55 = QuadraticNumber(5, 1, 5, 5)  # (5+sqrt5)/5
 A19 = QuadraticNumber(-3, 1, 1, 19)  # sqrt19 - 3
 
 
+def interval_value(x):
+    """x, an int or a QuadraticNumber, as a 120-digit interval."""
+    if isinstance(x, int):
+        return iv.mpf(x)
+    return (iv.mpf(x.p) + iv.mpf(x.q) * iv.sqrt(iv.mpf(x.D))) / iv.mpf(x.r)
+
+
 def interval_floor(x: QuadraticNumber, n: int) -> int:
     """Independent oracle: floor(n*x) via 120-digit interval arithmetic."""
-    v = iv.mpf(n) * (iv.mpf(x.p) + iv.mpf(x.q) * iv.sqrt(iv.mpf(x.D))) / iv.mpf(x.r)
+    v = iv.mpf(n) * interval_value(x)
     import mpmath
 
     lo, hi = mpmath.floor(mpf(v.a)), mpmath.floor(mpf(v.b))
@@ -63,22 +70,42 @@ quads = st.builds(
 )
 
 
-# Operands an arithmetic result may come from: values of the quads' fields,
-# ints, Fractions and rationals carried in another radicand.
 rationals_elsewhere = st.builds(
-    QuadraticNumber.rational, st.integers(-40, 40), st.integers(1, 20), st.sampled_from([3, 7, 14])
+    QuadraticNumber, st.integers(-40, 40), st.just(0), st.integers(1, 20), st.sampled_from([3, 7, 14])
 )
-operands = st.one_of(
-    quads,
-    st.integers(-30, 30),
-    st.fractions(min_value=-20, max_value=20, max_denominator=12),
-    rationals_elsewhere,
-)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(x, y): y is a value of x's field, an int, or a value of another
+    radicand, rational or not, which arithmetic with x refuses."""
+    x = draw(quads)
+    same_field = st.builds(
+        QuadraticNumber, st.integers(-40, 40), st.integers(-15, 15), st.integers(1, 20), st.just(x.D)
+    )
+    return x, draw(st.one_of(same_field, st.integers(-30, 30), quads, rationals_elsewhere))
+
+
 ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def mismatched(x, y) -> bool:
+    """y has another radicand than x: arithmetic between them raises."""
+    return isinstance(y, QuadraticNumber) and x.D != y.D
 
 
 def mixed_irrational(x, y) -> bool:
-    return isinstance(y, QuadraticNumber) and x.q != 0 and y.q != 0 and x.D != y.D
+    """Both irrational, of different radicands: comparing them raises too."""
+    return mismatched(x, y) and x.q != 0 and y.q != 0
+
+
+def oracle_sign(x, y) -> int:
+    """sign(x - y) from intervals.  Distinct values with the strategies'
+    small coefficients lie more than 10**-8 apart, so an interval that holds
+    0 means x == y."""
+    v = interval_value(x) - interval_value(y)
+    return 1 if mpf(v.a) > 0 else -1 if mpf(v.b) < 0 else 0
 
 
 def assert_normal(x):
@@ -91,26 +118,33 @@ def assert_normal(x):
 class TestKernel:
     """Results built without re-normalizing D still have the public normal form."""
 
-    @given(quads, operands)
-    def test_results_are_normalized(self, x, y):
-        assume(not mixed_irrational(x, y))
-        results = [-x, x.conjugate(), x + y, y + x, x - y, y - x, x * y, y * x]
+    @given(operand_pairs())
+    def test_results_are_normalized(self, xy):
+        x, y = xy
+        results = [-x, x.conjugate()]
         if x != 0:
-            results += [x.inv(), y / x]
-        if y != 0:
-            results.append(x / y)
+            results.append(x.inv())
+        if not mismatched(x, y):
+            results += [x + y, y + x, x - y, y - x, x * y, y * x]
+            if x != 0:
+                results.append(y / x)
+            if y != 0:
+                results.append(x / y)
         for got in results:
             assert_normal(got)
 
-    @given(quads, operands)
-    @example(PHI, 2)
-    @example(QuadraticNumber.sqrt(5), QuadraticNumber.rational(2, 1, D=2))  # sqrt2 < 2 < sqrt5
-    @example(QuadraticNumber.rational(3, 2, D=5), 3)  # == int must compare r
-    @example(QuadraticNumber(6, 1, 1, 5), 6)  # == int must compare q
-    @example(QuadraticNumber(3, 1, 2, 5), Fraction(3, 2))  # == Fraction must compare q
-    def test_comparisons_agree_with_sign_of_difference(self, x, y):
+    @given(operand_pairs())
+    @example((PHI, 2))
+    @example((QuadraticNumber(0, 1, 1, 5), QuadraticNumber(2, 0, 1, 2)))  # sqrt5 > 2, 2 carried in D = 2
+    @example((QuadraticNumber(3, 0, 2, 5), 3))  # == int must compare r
+    @example((QuadraticNumber(6, 1, 1, 5), 6))  # == int must compare q
+    @example((QuadraticNumber(3, 1, 2, 5), QuadraticNumber(3, 0, 2, 7)))  # == a rational must compare q
+    def test_comparisons_agree_with_sign_of_difference(self, xy):
+        x, y = xy
         assume(not mixed_irrational(x, y))
-        s = (x - y).sign()
+        s = oracle_sign(x, y)
+        if not mismatched(x, y):
+            assert (x - y).sign() == s
         for op in ORDER + (operator.eq, operator.ne):
             assert op(x, y) == op(s, 0)
             assert op(y, x) == op(0, s)
@@ -118,14 +152,32 @@ class TestKernel:
     @given(quads, quads)
     def test_mixed_irrational_radicands_raise(self, x, y):
         assume(mixed_irrational(x, y))
-        for op in (operator.add, operator.sub, operator.mul, operator.truediv) + ORDER:
+        for op in ARITHMETIC + ORDER:
             with pytest.raises(ValueError, match="mismatched radicands"):
                 op(x, y)
 
+    @given(operand_pairs())
+    @example((PHI, QuadraticNumber(1, 0, 2, 3)))
+    @example((QuadraticNumber(3, 0, 2, 5), QuadraticNumber(3, 0, 2, 7)))
+    def test_other_radicands_do_not_combine(self, xy):
+        # A rational of another radicand compares (see above), but takes
+        # part in no arithmetic, in either order.
+        x, y = xy
+        assume(mismatched(x, y))
+        for op in ARITHMETIC:
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(ValueError, match=f"^mismatched radicands: {a.D} vs {b.D}$"):
+                    op(a, b)
+
     def test_non_numbers_do_not_compare(self):
-        for op in ORDER:
-            with pytest.raises(TypeError):
-                op(PHI, "1")
+        # Neither comparisons nor arithmetic take anything but ints and
+        # QuadraticNumbers: not a Fraction or a float either.
+        for other in ("1", Fraction(1, 2), 1.5):
+            for op in ORDER + ARITHMETIC:
+                for a, b in ((PHI, other), (other, PHI)):
+                    with pytest.raises(TypeError):
+                        op(a, b)
+            assert PHI != other and not PHI == other
 
     def test_radicand_cap(self):
         big = QuadraticNumber(0, 1, 1, MAX_RADICAND - 11)  # prime: the longest trial division
@@ -159,11 +211,12 @@ class TestArithmetic:
 
     def test_equal_rationals_hash_equal(self):
         # __eq__ ignores the radicand of a rational, so __hash__ must too
-        x, y = QuadraticNumber.rational(3, 2, D=5), QuadraticNumber.rational(3, 2, D=2)
-        assert x == y == Fraction(3, 2)
-        assert hash(x) == hash(y) == hash(Fraction(3, 2))
-        assert len({x, y, Fraction(3, 2)}) == 1
-        assert hash(QuadraticNumber.rational(4, 2, D=3)) == hash(2)
+        x, y = QuadraticNumber(3, 0, 2, 5), QuadraticNumber(3, 0, 2, 2)
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+        two = QuadraticNumber(4, 0, 2, 3)
+        assert two == 2 and hash(two) == hash(2)
+        assert len({two, 2, QuadraticNumber(2, 0, 1, 7)}) == 1
 
     def test_normalization(self):
         assert QuadraticNumber(0, 1, 2, 8) == QuadraticNumber(0, 1, 1, 2)
@@ -172,20 +225,17 @@ class TestArithmetic:
         assert (x.p, x.q, x.r) == (-1, -1, 2)
 
     def test_perfect_square_radicand_folds(self):
-        assert QuadraticNumber(1, 2, 1, 9) == 7
-        assert QuadraticNumber(1, 2, 1, 9).is_integer
+        x = QuadraticNumber(1, 2, 1, 9)
+        assert x == 7 and (x.p, x.q, x.r) == (7, 0, 1)
 
     def test_mixed_radicand_rejected(self):
         with pytest.raises(ValueError, match="mismatched"):
-            QuadraticNumber.sqrt(2) + QuadraticNumber.sqrt(3)
-
-    def test_rational_lifts_across_fields(self):
-        half = QuadraticNumber.rational(1, 2, D=3)
-        assert PHI - half == QuadraticNumber(0, 1, 2, 5)
+            QuadraticNumber(0, 1, 1, 2) + QuadraticNumber(0, 1, 1, 3)
 
     def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            PHI / QuadraticNumber.rational(0, 1, D=5)
+        for zero in (QuadraticNumber(0, 0, 1, 5), 0):
+            with pytest.raises(ZeroDivisionError):
+                PHI / zero
 
     def test_int_operands(self):
         assert PHI + 1 == QuadraticNumber(3, 1, 2, 5)
@@ -193,14 +243,15 @@ class TestArithmetic:
 
     def test_reflected_subtraction(self):
         assert 1 - PHI == QuadraticNumber(1, -1, 2, 5)
-        assert Fraction(1, 2) - PHI == QuadraticNumber(0, -1, 2, 5)
         # An unsupported left operand is named on the left.
         with pytest.raises(TypeError, match="'str' and 'QuadraticNumber'"):
             "a" - PHI
 
     @given(quads, quads.filter(lambda x: x.D in (2, 5)))
     def test_add_sub_roundtrip(self, x, y):
-        if x.D != y.D and x.q and y.q:
+        if x.D != y.D:
+            with pytest.raises(ValueError, match="mismatched radicands"):
+                x + y
             return
         assert (x + y) - y == x
 
@@ -222,25 +273,23 @@ class TestArithmetic:
 
     @given(quads, quads)
     def test_mul_div_roundtrip(self, x, y):
-        if x.D != y.D and x.q and y.q:
+        if x.D != y.D:
+            with pytest.raises(ValueError, match="mismatched radicands"):
+                x * y
             return
         if y == 0:
             return
         assert (x * y) / y == x
 
-    def test_zero_is_falsy(self):
-        assert not QuadraticNumber.rational(0, 1, D=5)
-        assert PHI
-
 
 class TestStringFormat:
     def test_decimal_truncates_toward_zero(self):
-        root2 = QuadraticNumber.sqrt(2)
+        root2 = QuadraticNumber(0, 1, 1, 2)
         assert root2.decimal(3) == "1.414"
         assert (-root2).decimal(3) == "-1.414"
         assert (1 - PHI).decimal(4) == "-0.6180"
-        assert QuadraticNumber.rational(-7, 4, D=5).decimal(1) == "-1.7"
-        assert QuadraticNumber.rational(0, 1, D=5).decimal(2) == "0.00"
+        assert QuadraticNumber(-7, 0, 4, 5).decimal(1) == "-1.7"
+        assert QuadraticNumber(0, 0, 1, 5).decimal(2) == "0.00"
 
     def test_round_trip(self):
         for text in ["(5+1*sqrt(5))/5", "(-3+1*sqrt(19))/1", "(1-2*sqrt(3))/7"]:
@@ -263,7 +312,7 @@ class TestBeattyFloor:
     def test_matches_interval_oracle_to_ten_thousand(self):
         import mpmath
 
-        for alpha in (A55, A19, PHI, QuadraticNumber.sqrt(2)):
+        for alpha in (A55, A19, PHI, QuadraticNumber(0, 1, 1, 2)):
             unit = iv.mpf(alpha.p) + iv.mpf(alpha.q) * iv.sqrt(iv.mpf(alpha.D))
             unit /= iv.mpf(alpha.r)
             for n in range(10_001):
@@ -300,7 +349,7 @@ class TestConjugate:
 
     def test_rejects_rational(self):
         with pytest.raises(ValueError):
-            conjugate_beatty(QuadraticNumber.rational(3, 2, D=5))
+            conjugate_beatty(QuadraticNumber(3, 0, 2, 5))
 
     def test_rejects_out_of_window(self):
         with pytest.raises(ValueError):
@@ -338,12 +387,12 @@ class TestConjugate:
             BeattyPair(PHI, QuadraticNumber(7, 1, 3, 19))
 
     @pytest.mark.parametrize("alpha, beta, message", [
-        (QuadraticNumber.rational(3, 2, D=5), PHI + 1, "alpha must be irrational"),
+        (QuadraticNumber(3, 0, 2, 5), PHI + 1, "alpha must be irrational"),
         (PHI + 1, PHI + 2, r"alpha must lie in \(1, 2\), got \(3\+1\*sqrt\(5\)\)/2"),
         (QuadraticNumber(4, -1, 1, 2), QuadraticNumber(3, 1, 1, 2),
          r"alpha must lie in \(1, 2\), got \(4-1\*sqrt\(2\)\)/1"),
         (PHI, PHI, r"beta must exceed 2, got \(1\+1\*sqrt\(5\)\)/2"),
-        (PHI, QuadraticNumber.rational(2, D=5), r"beta must exceed 2, got \(2\+0\*sqrt\(1\)\)/1"),
+        (PHI, QuadraticNumber(2, 0, 1, 5), r"beta must exceed 2, got \(2\+0\*sqrt\(1\)\)/1"),
         (PHI, QuadraticNumber(7, 1, 3, 19), "mismatched radicands: 5 vs 19"),
         # same field, but not phi's conjugate phi + 1: phi + 2 fails both
         # coordinates of alpha + beta = alpha*beta, 4 + sqrt5 only the sqrt5
@@ -351,7 +400,7 @@ class TestConjugate:
         (PHI, QuadraticNumber(5, 1, 2, 5), r"1/alpha \+ 1/beta = 1 fails"),
         (PHI, QuadraticNumber(4, 1, 1, 5), r"1/alpha \+ 1/beta = 1 fails"),
         (PHI, QuadraticNumber(2, 1, 1, 5), r"1/alpha \+ 1/beta = 1 fails"),
-        (PHI, QuadraticNumber.rational(5, 2, D=7), r"1/alpha \+ 1/beta = 1 fails"),
+        (PHI, QuadraticNumber(5, 0, 2, 7), r"1/alpha \+ 1/beta = 1 fails"),
     ])
     def test_rejections_keep_their_messages(self, alpha, beta, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -370,7 +419,7 @@ class TestFractionalPart:
         assert _frac(QuadraticNumber(7, 1, 3, 19)) == QuadraticNumber(-2, 1, 3, 19)
 
     def test_integer_input(self):
-        assert _frac(QuadraticNumber.rational(6, 3, D=5)) == 0
+        assert _frac(QuadraticNumber(6, 0, 3, 5)) == 0
 
     def test_phi(self):
         assert _frac(PHI) == QuadraticNumber(-1, 1, 2, 5)
@@ -483,7 +532,7 @@ class TestRayleigh:
         assert _rayleigh_by_count(stub, limit) is tiles
 
     def test_equals_the_count_on_real_rows(self):
-        for alpha in (PHI, A55, A19, QuadraticNumber.sqrt(2)):
+        for alpha in (PHI, A55, A19, QuadraticNumber(0, 1, 1, 2)):
             pair = conjugate_beatty(alpha)
             fa, fb = map(list, pair._floors(2002))
             for rows in ((fa, fb), (fa, fb[:40] + fb[41:]), (fa[:7] + [fa[8]] + fa[8:], fb)):
@@ -506,19 +555,27 @@ class TestRayleigh:
 
     def test_broken_pair_rejected_at_type_level(self):
         with pytest.raises(ValueError):
-            BeattyPair(A55, A55 + Fraction(1, 2))
+            BeattyPair(A55, QuadraticNumber(15, 2, 10, 5))  # A55 + 1/2
 
     def test_all_pairs_to_2000(self):
-        for alpha in (PHI, A55, A19, QuadraticNumber.sqrt(2)):
+        for alpha in (PHI, A55, A19, QuadraticNumber(0, 1, 1, 2)):
             assert rayleigh_verify(conjugate_beatty(alpha), 2000)
 
 
+def _coords(x: QuadraticNumber):
+    """x = u0 + u1*sqrt(D) as the Fractions (u0, u1): a reference outside quadfield."""
+    return Fraction(x.p, x.r), Fraction(x.q, x.r)
+
+
 def _unit_combination_reference(u, v):
-    """The rational (p, q) with p*u + q*v = 1, by Fractions; None for a singular system."""
-    det = Fraction(u.p, u.r) * Fraction(v.q, v.r) - Fraction(v.p, v.r) * Fraction(u.q, u.r)
+    """The rational (p, q) with p*u + q*v = 1, by Fractions; None for a singular system.
+
+    u and v are QuadraticNumbers of one field or their `_coords`."""
+    (u0, u1), (v0, v1) = (_coords(x) if isinstance(x, QuadraticNumber) else x for x in (u, v))
+    det = u0 * v1 - v0 * u1
     if det == 0:
         return None
-    return Fraction(v.q, v.r) / det, -Fraction(u.q, u.r) / det
+    return v1 / det, -u1 / det
 
 
 def _positive_integer_reference(u, v):
@@ -573,10 +630,10 @@ class TestUnitCombination:
 
     # One system of each kind; test_examples_cover_each_kind checks the kinds.
     SINGULAR = (QuadraticNumber(-1, 1, 2, 5), QuadraticNumber(-1, 1, 1, 5))  # v = 2u
-    NEGATIVE = (QuadraticNumber.sqrt(5), PHI)  # -1*u + 2*v = 1
+    NEGATIVE = (QuadraticNumber(0, 1, 1, 5), PHI)  # -1*u + 2*v = 1
     # Integral in one unknown only: 1*u + (3/2)*v = 1 and (3/2)*u + 1*v = 1.
-    FRACTIONAL_Q = (QuadraticNumber(2, -3, 2, 5), QuadraticNumber.sqrt(5))
-    FRACTIONAL_P = (QuadraticNumber.sqrt(5), QuadraticNumber(2, -3, 2, 5))
+    FRACTIONAL_Q = (QuadraticNumber(2, -3, 2, 5), QuadraticNumber(0, 1, 1, 5))
+    FRACTIONAL_P = (QuadraticNumber(0, 1, 1, 5), QuadraticNumber(2, -3, 2, 5))
     POSITIVE = (QuadraticNumber(5, -1, 3, 19), QuadraticNumber(-4, 1, 1, 19))  # A19: (3, 1)
 
     def test_examples_cover_each_kind(self):
@@ -603,7 +660,7 @@ class TestUnitCombination:
 def _criterion_10_slopes(k):
     """Seeded slopes (p + q*sqrt(d))/r in (1, 2), drawn as criterion 10 draws them."""
     rng = random.Random(20250811)
-    nonsquares = [d for d in range(2, 51) if QuadraticNumber.sqrt(d).q != 0]
+    nonsquares = [d for d in range(2, 51) if isqrt(d) ** 2 != d]
     out = []
     while len(out) < k:
         alpha = QuadraticNumber(
@@ -615,6 +672,17 @@ def _criterion_10_slopes(k):
         if alpha.q != 0 and 1 < alpha < 2 and alpha not in out:
             out.append(alpha)
     return out
+
+
+def _conjugate_slope(alpha: QuadraticNumber) -> QuadraticNumber:
+    """beta = 1 + 1/(alpha - 1), rationalized by the conjugate in Fraction
+    coordinates and built by the public constructor: a reference outside
+    quadfield's arithmetic and pair code."""
+    (a0, a1), d = _coords(alpha), alpha.D
+    den = (a0 - 1) ** 2 - a1 * a1 * d
+    b0, b1 = 1 + (a0 - 1) / den, -a1 / den
+    r = lcm(b0.denominator, b1.denominator)
+    return QuadraticNumber(int(b0 * r), int(b1 * r), r, d)
 
 
 def _scan(gamma, top):
@@ -635,10 +703,10 @@ class TestPerSlope:
         """Small n against a scan of the index sequences; far n in
         [10^5, 10^9] against `beatty_membership` of 1/{alpha} and 1/{beta}."""
         box = [alpha for alpha, _ in enumerate_families(6, 6, 6)]
-        slopes = [PHI, A55, A19, QuadraticNumber.sqrt(2)] + box + _criterion_10_slopes(20)
+        slopes = [PHI, A55, A19, QuadraticNumber(0, 1, 1, 2)] + box + _criterion_10_slopes(20)
         rng = random.Random(20261019)
         for alpha in slopes:
-            beta = alpha / (alpha - 1)
+            beta = _conjugate_slope(alpha)
             floors = [(beatty_floor(alpha, n), beatty_floor(beta, n)) for n in range(self.TOP + 1)]
             xs = _scan((alpha - alpha.floor()).inv(), self.TOP)
             ys = _scan((beta - beta.floor()).inv(), self.TOP)
@@ -668,7 +736,7 @@ class TestPerSlope:
         """Runs of consecutive n, repeats and jumps, interleaved over two
         pairs: every call equals the definition."""
         rng = random.Random(20261018)
-        pairs = [conjugate_beatty(A19), conjugate_beatty(QuadraticNumber.sqrt(2))]
+        pairs = [conjugate_beatty(A19), conjugate_beatty(QuadraticNumber(0, 1, 1, 2))]
         last = {id(pair): 0 for pair in pairs}
         for _ in range(600):
             pair = rng.choice(pairs)
@@ -688,7 +756,7 @@ class TestPerSlope:
             last[id(pair)] = n
 
     @pytest.mark.parametrize("alpha, message", [
-        (QuadraticNumber.rational(3, 2, D=5), "alpha must be irrational"),
+        (QuadraticNumber(3, 0, 2, 5), "alpha must be irrational"),
         (PHI + 1, r"alpha must lie in \(1, 2\), got \(3\+1\*sqrt\(5\)\)/2"),
         (PHI - 1, r"alpha must lie in \(1, 2\), got \(-1\+1\*sqrt\(5\)\)/2"),
         (-PHI, r"alpha must lie in \(1, 2\)"),
@@ -721,30 +789,30 @@ class TestIntegerFormulas:
     @staticmethod
     def slopes():
         box = [alpha for alpha, _ in enumerate_families(6, 6, 6)]
-        return [PHI, A55, A19, QuadraticNumber.sqrt(2)] + box + _criterion_10_slopes(20)
+        return [PHI, A55, A19, QuadraticNumber(0, 1, 1, 2)] + box + _criterion_10_slopes(20)
 
     @pytest.mark.parametrize("near_cap", [False, True])
     def test_pair_equals_the_arithmetic_chains(self, near_cap):
-        def same(x, y):
-            # Both sides in normal form, so equal coefficients mean equal values.
-            return (x.p, x.q, x.r, x.D) == (y.p, y.q, y.r, y.D)
-
-        one = Fraction(1)
+        # The chains run in Fraction coordinates (u0, u1) of u0 + u1*sqrt(D).
         solved = 0
         for alpha in self.NEAR_CAP if near_cap else self.slopes():
             pair = conjugate_beatty(alpha)
-            beta = (alpha - one).inv() + one
-            assert same(pair.beta, beta), alpha
-            assert alpha.inv() + beta.inv() == 1
+            beta = _conjugate_slope(alpha)
+            # Both sides in normal form, so equal coefficients mean equal values.
+            assert (pair.beta.p, pair.beta.q, pair.beta.r, pair.beta.D) == (
+                beta.p, beta.q, beta.r, beta.D), alpha
+            (a0, a1), (b0, b1), d = _coords(alpha), _coords(beta), alpha.D
+            # 1/alpha + 1/beta = 1, as alpha + beta = alpha*beta
+            assert (a0 + b0, a1 + b1) == (a0 * b0 + a1 * b1 * d, a0 * b1 + a1 * b0), alpha
             # The classifier solves on integer coordinates of {alpha} and {beta}.
             _, ii, iii, bf = _range_and_solutions(pair)
-            frac_a, frac_b = _frac(alpha), _frac(beta)
-            assert bf == beta.floor(), alpha
-            assert ii == _positive_integer_reference(1 - frac_b, frac_a), alpha
-            assert iii == _positive_integer_reference(frac_b, 1 - frac_a), alpha
+            assert bf == interval_floor(beta, 1), alpha
+            frac_a, frac_b = (a0 - interval_floor(alpha, 1), a1), (b0 - bf, b1)
+            assert ii == _positive_integer_reference((1 - frac_b[0], -b1), frac_a), alpha
+            assert iii == _positive_integer_reference(frac_b, (1 - frac_a[0], -a1)), alpha
             solved += (ii, iii) != (None, None)
             family_i = classify_alpha(alpha).family is FamilyLabel.I
-            assert family_i == (beta - alpha).is_integer, alpha
+            assert family_i == (b1 == a1 and (b0 - a0).denominator == 1), alpha
         assert near_cap or solved > 0
 
     def test_construction_counts(self, monkeypatch):
@@ -782,7 +850,7 @@ class TestRows:
             return list(itertools.islice(quadfield._partial_quotients(x), k))
 
         assert head(PHI, 6) == [1] * 6
-        assert head(QuadraticNumber.sqrt(2), 6) == [1, 2, 2, 2, 2, 2]
+        assert head(QuadraticNumber(0, 1, 1, 2), 6) == [1, 2, 2, 2, 2, 2]
         assert head(A19, 8) == [1, 2, 1, 3, 1, 2, 8, 2]  # sqrt(19) = [4; 2, 1, 3, 1, 2, 8]
         assert head(conjugate_beatty(A55).beta, 4) == [3, 4, 4, 4]  # 1 + sqrt(5)
         assert head(QuadraticNumber(10**9, 1, 10**9, 2), 2) == [1, 707106781]
@@ -801,10 +869,8 @@ class TestRows:
     def test_both_row_branches(self):
         """floor(beta) = 253..256 around the one-byte limit of the translated
         word, and the near-cap slopes far above it, at 2,000 rows and m < 4."""
-        wide = []
-        for t in range(252, 256):
-            beta = QuadraticNumber(t, 1, 1, 2)  # t + sqrt(2), floor t + 1
-            wide.append(beta / (beta - 1))
+        # alpha = beta/(beta - 1) for beta = t + sqrt(2), floor t + 1
+        wide = [QuadraticNumber(t * t - t - 2, -1, (t - 1) ** 2 - 2, 2) for t in range(252, 256)]
         slopes = wide + TestIntegerFormulas.NEAR_CAP
         assert [conjugate_beatty(alpha).beta.floor() for alpha in wide] == [253, 254, 255, 256]
         for alpha in slopes:
@@ -833,7 +899,7 @@ class TestRows:
 
 
 class TestCopyAndPickle:
-    @pytest.mark.parametrize("x", [A55, -A19, QuadraticNumber.rational(3, 2, D=5)])
+    @pytest.mark.parametrize("x", [A55, -A19, QuadraticNumber(3, 0, 2, 5)])
     def test_round_trips(self, x):
         for again in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert again == x and repr(again) == repr(x)

@@ -45,7 +45,7 @@ from beatty_games.solver import (
 PHI = QuadraticNumber(1, 1, 2, 5)
 A55 = QuadraticNumber(5, 1, 5, 5)
 A19 = QuadraticNumber(-3, 1, 1, 19)
-SQRT2 = QuadraticNumber.sqrt(2)
+SQRT2 = QuadraticNumber(0, 1, 1, 2)
 
 TABLE_A55_P = ((0, 0), (1, 3), (2, 6), (4, 5), (7, 13), (8, 16), (9, 19), (10, 15), (11, 23), (12, 26))
 TABLE_A55_BEATTY = ((0, 0), (1, 3), (2, 6), (4, 9), (5, 12), (7, 16), (8, 19), (10, 22), (11, 25), (13, 29))
