@@ -18,14 +18,17 @@ difference; rationals (q = 0) also compare and hash equal across radicands.
 `BeattyPair` is the per-slope object: `conjugate_beatty(alpha)` builds one
 number, beta, and checks the pair in integers (1 < alpha < 2 and beta > 2 by
 the sign of a numerator, 1/alpha + 1/beta = 1 coordinatewise).
-`pair.delta2(n)` takes four random-access floors by isqrt and
-`pair.trichotomy(n)` reads delta2(n+1) and floor(beta), building no number.
-Sequential rows come from the continued fractions instead: the PQa
-recurrence expands alpha and beta with one isqrt each, and the steps of
-floor(n*x) are the characteristic Sturmian word of {x}, built as bytes from
-standard words; `pair._floors(m)` gives floor(n*alpha) and floor(n*beta) for
-n < m, each as one `accumulate` over the word translated to floor(x) + step,
-with no isqrt and no Python bytecode per n.  Each slope value holds its pair:
+Rows come from the continued fractions: the PQa recurrence expands alpha
+and beta with one isqrt each, and the steps of floor(n*x) are the
+characteristic Sturmian word of {x}, built as bytes from standard words.
+Each pair builds the step words of alpha and beta once, _HELD_ROWS bytes
+each, on first use.  Up to that length `pair.delta2(n)` and
+`pair.trichotomy(n)` read one byte of each word, and `pair._steps(m)` slices
+them; past it delta2 takes four exact floors by isqrt and `_steps` builds
+fresh words, so memory per pair stays bounded.  `pair._floors(m)` gives
+floor(n*alpha) and floor(n*beta) for n < m, each as one `accumulate` over
+the word translated to floor(x) + step, with no isqrt and no Python
+bytecode per n.  Each slope value holds its pair:
 the first `conjugate_beatty(alpha)` builds and checks it, and every later call
 with that alpha, including those inside the public `delta2(alpha, n)` and
 `trichotomy_class(alpha, n)`, returns the same one.
@@ -46,6 +49,7 @@ from typing import Iterator, Optional, Tuple
 # Trial division in _square_free takes at most sqrt(MAX_RADICAND) = 10**6 steps.
 MAX_RADICAND = 10**12
 MAX_RAYLEIGH_LIMIT = 10**6  # rayleigh_verify holds about 85 bytes per unit of limit
+_HELD_ROWS = 4096  # step bytes each BeattyPair keeps per slope: 8 KB a pair
 
 
 def _square_free(d: int) -> Tuple[int, int]:
@@ -340,14 +344,29 @@ class BeattyPair:
                 or a.q * b.r + b.q * a.r != a.p * b.q + a.q * b.p):
             raise ValueError("1/alpha + 1/beta = 1 fails")
 
+    def _held(self) -> Tuple[bytes, int, bytes]:
+        """alpha's step word, floor(beta) and beta's step word, _HELD_ROWS
+        bytes each: built on first use and kept outside the fields, so eq,
+        hash, repr and asdict do not see them."""
+        try:
+            return self._words
+        except AttributeError:
+            (_, ua), (whole, ub) = _step_word(self.alpha, _HELD_ROWS), _step_word(self.beta, _HELD_ROWS)
+            object.__setattr__(self, "_words", (ua, whole, ub))
+            return self._words
+
     def delta2(self, n: int) -> int:
         """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha)).
 
-        Four exact floors, for random access; sequential consumers read
-        `_floors`.
+        With floor(alpha) = 1 that is floor(beta) - 1 + ub[n-1] - ua[n-1],
+        read from the held step words for n <= _HELD_ROWS; past them, four
+        exact floors.
         """
         if n < 1:
             raise ValueError("delta2 is defined for n >= 1")
+        if n <= _HELD_ROWS:
+            ua, whole, ub = self._held()
+            return whole - 1 + ub[n - 1] - ua[n - 1]
         a, b = self.alpha, self.beta
         return (beatty_floor(b, n) - beatty_floor(b, n - 1)) - (
             beatty_floor(a, n) - beatty_floor(a, n - 1)
@@ -356,7 +375,11 @@ class BeattyPair:
     def _steps(self, m: int) -> Tuple[Tuple[int, bytes], Tuple[int, bytes]]:
         """(floor(x), steps) for x = alpha and x = beta, from x's continued
         fraction: byte k < m of steps is floor((k+1)*x) - floor(k*x) - floor(x),
-        0 or 1.  No isqrt per row."""
+        0 or 1.  No isqrt per row.  Up to _HELD_ROWS a slice of the held
+        words, past them a fresh build."""
+        if m <= _HELD_ROWS:
+            ua, whole, ub = self._held()
+            return (1, ua[:m]), (whole, ub[:m])
         return _step_word(self.alpha, m), _step_word(self.beta, m)
 
     def _floors(self, m: int) -> Tuple[Iterator[int], ...]:
@@ -380,12 +403,16 @@ class BeattyPair:
         d = delta2(n+1) - floor(beta) + 1 for n >= 0.  For n >= 1, n lies in
         X iff alpha's step floor((n+1)*alpha) - floor(n*alpha) is 2, and in
         Y iff beta's step is floor(beta) + 1, so d = (beta step -
-        floor(beta)) - (alpha step - 1).  n = 0 lies in both and
+        floor(beta)) - (alpha step - 1) = ub[n] - ua[n], read from the held
+        step words for n < _HELD_ROWS.  n = 0 lies in both and
         delta2(1) = floor(beta) - 1; negative n lie in neither.  The tests
         check the class against the membership definition.
         """
         if n < 0:
             return Trichotomy.ZERO
+        if n < _HELD_ROWS:
+            ua, _, ub = self._held()
+            return _TRICHOTOMY[ub[n] - ua[n]]
         return _TRICHOTOMY[self.delta2(n + 1) - self.beta.floor() + 1]
 
 
@@ -441,7 +468,8 @@ def conjugate_beatty(alpha: QuadraticNumber) -> BeattyPair:
     pair in alpha's `_beatty` slot, and every later call with that alpha returns
     it.  An invalid alpha holds nothing, so it raises on every call.  Equality,
     hashing, copies and pickles ignore the slot.  alpha and its pair refer to
-    each other; the cycle collector frees the two small objects.
+    each other; the cycle collector frees the two, with the pair's held step
+    words (at most 2 * _HELD_ROWS bytes).
     """
     try:
         return alpha._beatty

@@ -10,8 +10,9 @@ Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
   prior pair in each orientation (d1, d2) with d1 < a_n, namely
   [max(d2+1, c-f+1), c+f-1] with c = a_n - d1 + d2 and f = f(d1, d2, a_n).
   The constraint's shape picks the path, each in O(count) memory;
-  solve_doublemex's docstring gives each path's rule and cost, and the
-  MAX_COUNT cap every generator shares.
+  solve_doublemex's docstring gives each path's rule and cost, the
+  MAX_COUNT cap every generator shares, and the GENERAL path's
+  MAX_ROW_RULE_COUNT.
 * solve_relaxed      — the closed formula again, for relaxed Wythoff.  Its
   checks require f >= 0 and f >= 1 at the first step; that is not enough
   (f = 3, 2, 3, 2, 3, 3, 3, 3, 1, ... gives (9, 27) where the P-position
@@ -69,6 +70,7 @@ from .quadfield import QuadraticNumber, conjugate_beatty
 
 MAX_ORACLE_BOUND = 4096  # board size; the oracle's time grows as bound * #P
 MAX_COUNT = 10**6  # pairs per generator call
+MAX_ROW_RULE_COUNT = 2048  # pairs per GENERAL double-mex call, whose time grows as count^2
 MAX_HORIZON = 1000  # detect_gap's reports grow as horizon^2: 10^5 at 1,000 for (5+sqrt(5))/5
 
 
@@ -135,7 +137,8 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     path follows constraint.shape:
 
     GENERAL: retrograde_oracle's row rule run for `count` pairs instead of
-    up to a bound, at O(count) evaluations per pair, O(count^2) in all.
+    up to a bound, at O(count) evaluations per pair, O(count^2) in all, so
+    `count` is also capped at MAX_ROW_RULE_COUNT.
 
     ORIGIN: f = f(a_n) is evaluated once per pair and the search runs in
     d = b - a_n.  Pair (0, 0)'s interval holds [0, f-1] and so every swapped
@@ -164,6 +167,8 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     elif constraint.shape is Shape.GAP_AFFINE:
         pairs = _doublemex_gap_affine(constraint.gap, count)
     else:
+        if count > MAX_ROW_RULE_COUNT:
+            raise ValueError(f"count {count} exceeds the cap {MAX_ROW_RULE_COUNT} for a GENERAL constraint")
         pairs = tuple(itertools.islice(_label_rows(constraint.value, False), count))
     return PTable(pairs, TableSource.DOUBLE_MEX)
 

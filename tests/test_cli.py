@@ -36,7 +36,7 @@ from beatty_games.games import (
     ruleset_from_json,
 )
 from beatty_games.quadfield import QuadraticNumber
-from beatty_games.solver import ptable_from_csv, ptable_from_json, retrograde_oracle
+from beatty_games.solver import MAX_ROW_RULE_COUNT, ptable_from_csv, ptable_from_json, retrograde_oracle
 
 A55_TEXT = "(5+1*sqrt(5))/5"
 PHI_TEXT = "(1+1*sqrt(5))/2"
@@ -354,6 +354,16 @@ def test_count_above_the_cap_exits_two(argv, capsys):
     assert run(argv + ["--count", str(10**9)]) == (EXIT_PARSE, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds the cap" in err
+
+
+def test_row_rule_count_above_its_cap_exits_two(tmp_path, capsys):
+    path = tmp_path / "rules.json"
+    path.write_text('{"family": "modified", "constraint": {"kind": "table", "entries": [[0, 0, 1, 1]]}}')
+    count = str(MAX_ROW_RULE_COUNT + 1)
+    for constraint in (["--parity-half"], ["--rules", str(path)]):
+        assert run(["gen", *constraint, "--count", count]) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == (
+            f"error: count {count} exceeds the cap {MAX_ROW_RULE_COUNT} for a GENERAL constraint\n")
 
 
 def test_oracle_bound_above_the_cap_exits_two(capsys):

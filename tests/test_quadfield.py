@@ -34,7 +34,8 @@ from beatty_games.quadfield import (
     rayleigh_verify,
     trichotomy_class,
 )
-from beatty_games.solver import detect_gap
+from beatty_games.games import BeattyDelta
+from beatty_games.solver import detect_gap, solve_relaxed
 
 iv.prec = 400  # ~120 decimal digits; the interval floor below must be unambiguous
 
@@ -896,6 +897,77 @@ class TestRows:
         assert fa == [beatty_floor(alpha, n) for n in range(1000)]
         assert fb == [beatty_floor(pair.beta, n) for n in range(1000)]
         assert peak < 2**20, peak
+
+
+class TestHeldWords:
+    """The step words a pair holds against the four-floor definitions."""
+
+    HELD = quadfield._HELD_ROWS
+    SQRT3 = QuadraticNumber(0, 1, 1, 3)  # floor(beta) = 2, where delta2 takes 0
+    # alpha = beta/(beta - 1) for beta = t + sqrt(2): floor(beta) = 255 and 256,
+    # past the one-byte branch of `_floors`
+    WIDE = [QuadraticNumber(t * t - t - 2, -1, (t - 1) ** 2 - 2, 2) for t in (254, 255)]
+
+    @staticmethod
+    def _four_floors(alpha, beta, n):
+        return (beatty_floor(beta, n) - beatty_floor(beta, n - 1)) - (
+            beatty_floor(alpha, n) - beatty_floor(alpha, n - 1))
+
+    def test_delta2_and_trichotomy_equal_the_four_floors(self):
+        box = [alpha for alpha, _ in enumerate_families(6, 6, 6)]
+        slopes = [self.SQRT3, *self.WIDE, PHI, A55, A19] + box + _criterion_10_slopes(10)
+        assert [conjugate_beatty(a).beta.floor() for a in [self.SQRT3, *self.WIDE]] == [2, 255, 256]
+        top = self.HELD + 2
+        for alpha in slopes:
+            beta = _conjugate_slope(alpha)
+            fa = [beatty_floor(alpha, n) for n in range(top + 2)]
+            fb = [beatty_floor(beta, n) for n in range(top + 2)]
+            want = [None] + [(fb[n] - fb[n - 1]) - (fa[n] - fa[n - 1]) for n in range(1, top + 2)]
+            bf = fb[1]
+            assert [delta2(alpha, n) for n in range(1, top + 1)] == want[1:top + 1], alpha
+            assert [trichotomy_class(alpha, n).value for n in range(top + 1)] == [
+                want[n + 1] - bf + 1 for n in range(top + 1)], alpha
+            if alpha == self.SQRT3:
+                assert 0 in want[1:]
+            pair = conjugate_beatty(alpha)
+            for n in (10**6 - 1, 10**6, 10**6 + 1):
+                d = self._four_floors(alpha, beta, n)
+                assert delta2(alpha, n) == pair.delta2(n) == d, (alpha, n)
+                assert trichotomy_class(alpha, n - 1).value == d - bf + 1, (alpha, n)
+
+    def test_steps_slice_the_held_words(self):
+        for alpha in (self.SQRT3, *self.WIDE, A19):
+            pair = conjugate_beatty(alpha)
+            for m in (0, 1, 7, self.HELD - 1, self.HELD, self.HELD + 1):
+                assert pair._steps(m) == (
+                    quadfield._step_word(alpha, m), quadfield._step_word(pair.beta, m)), (alpha, m)
+
+    def test_held_calls_take_no_floor(self, monkeypatch):
+        calls = [0]
+
+        def counting(gamma, n):
+            calls[0] += 1
+            return beatty_floor(gamma, n)
+
+        slopes = [self.SQRT3, *self.WIDE, PHI, A55, A19] + _criterion_10_slopes(5)
+        for alpha in slopes:
+            conjugate_beatty(alpha)
+        monkeypatch.setattr(quadfield, "beatty_floor", counting)
+        for alpha in slopes:
+            for n in range(1, 201):
+                delta2(alpha, n)
+                trichotomy_class(alpha, n - 1)
+        assert calls[0] == 0
+
+    def test_words_stay_bounded_and_outside_the_fields(self):
+        pair = conjugate_beatty(A19)
+        solve_relaxed(BeattyDelta(A19), 10**5)
+        assert set(vars(pair)) == {"alpha", "beta", "_words"}
+        assert sum(len(w) for w in pair._words if isinstance(w, bytes)) <= 2 * (self.HELD + 1)
+        bare = BeattyPair(pair.alpha, pair.beta)
+        assert "_words" not in vars(bare)
+        assert pair == bare and hash(pair) == hash(bare) and repr(pair) == repr(bare)
+        assert dataclasses.asdict(pair) == dataclasses.asdict(bare) == {"alpha": A19, "beta": pair.beta}
 
 
 class TestCopyAndPickle:

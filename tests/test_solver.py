@@ -25,6 +25,7 @@ from beatty_games.solver import (
     MAX_COUNT,
     MAX_HORIZON,
     MAX_ORACLE_BOUND,
+    MAX_ROW_RULE_COUNT,
     PTable,
     TableSource,
     _CoveredRuns,
@@ -324,6 +325,19 @@ class TestDoubleMex:
         for gen in (solve_doublemex, solve_relaxed, recurrence_closed):
             with pytest.raises(ValueError, match="exceeds the cap"):
                 gen(Constant(1), MAX_COUNT + 1)
+
+    def test_row_rule_cap(self):
+        # GENERAL constraints run the quadratic row rule; the other shapes do not.
+        for spec in (ParityHalf(), ExplicitTable({(0, 0, 1): 1})):
+            with pytest.raises(ValueError, match=f"count {MAX_ROW_RULE_COUNT + 1} exceeds the cap "
+                                                 f"{MAX_ROW_RULE_COUNT} for a GENERAL constraint"):
+                solve_doublemex(spec, MAX_ROW_RULE_COUNT + 1)
+        # an empty table allows no diagonal move, so the P-positions are (n, n)
+        assert solve_doublemex(ExplicitTable({}), MAX_ROW_RULE_COUNT).pairs == tuple(
+            (n, n) for n in range(MAX_ROW_RULE_COUNT))
+        for spec in (Constant(1), TargetBeatty(A55)):
+            assert len(solve_doublemex(spec, MAX_ROW_RULE_COUNT + 1)) == MAX_ROW_RULE_COUNT + 1
+        assert len(solve_relaxed(Constant(1), MAX_ROW_RULE_COUNT + 1)) == MAX_ROW_RULE_COUNT + 1
 
     def test_closed_equals_doublemex_when_inequality_holds(self):
         # 2*min f - max f >= 1 over visited values
