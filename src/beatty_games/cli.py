@@ -42,6 +42,7 @@ from .games import (
 from .quadfield import QuadraticNumber
 from .solver import (
     HypothesisError,
+    MAX_ORACLE_BOUND,
     PTable,
     compare_tables,
     oracle_table,
@@ -281,8 +282,10 @@ def _cmd_play(args, out) -> int:
     if args.start is not None:
         start = canonical(args.start[0], args.start[1])
     else:
-        rng = random.Random(args.seed)
         b = args.random_bound
+        if not 1 <= b <= MAX_ORACLE_BOUND:  # play's oracle runs to the larger pile
+            raise ValueError(f"--random-bound must be in [1, {MAX_ORACLE_BOUND}], got {b}")
+        rng = random.Random(args.seed)
         start = canonical(rng.randint(1, b), rng.randint(1, b))
     play_session(rules, start, print_fn=lambda s: out.write(s + "\n"))
     return EXIT_OK

@@ -355,6 +355,10 @@ class BeattyPair:
             object.__setattr__(self, "_words", (ua, whole, ub))
             return self._words
 
+    def __getstate__(self):
+        """The fields alone, for pickle and copy: a copy builds its own words."""
+        return {"alpha": self.alpha, "beta": self.beta}
+
     def delta2(self, n: int) -> int:
         """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha)).
 

@@ -43,6 +43,10 @@ other paths keep them by construction: a_n is the mex; each double-mex path
 picks b_n >= a_n among unused values; under f >= 0 the relaxed b_n strictly
 increases and b_n >= a_n + f; oracle_table sorts canonical P-positions, (0, 0)
 among them, with distinct smaller piles; cli's verify keeps a subsequence.
+
+ptable_to_json and positions_to_json give json.dumps(record, indent=2) byte
+for byte, but write their row lists one format call per row: with an indent
+the stdlib encodes in pure Python, token by token.
 """
 
 from __future__ import annotations
@@ -494,20 +498,38 @@ def ptable_from_csv(text: str) -> PTable:
     return _checked_table(tuple(pairs), source)
 
 
+# One row of a row list, as json.dumps(..., indent=2) writes it two levels in.
+_PAIR_ROW = "\n    [\n      {},\n      {}\n    ]"
+_BEATTY_ROW = '\n    {{\n      "floor_n_alpha": {},\n      "floor_n_beta": {},\n      "delta2": {}\n    }}'
+
+
+def _indented_json(members) -> str:
+    """json.dumps(dict, indent=2) of (key, value, row) members, in order: a
+    scalar value when row is None, else a list of rows, one row.format each."""
+    parts = []
+    for key, value, row in members:
+        if row is None:
+            text = json.dumps(value)
+        else:
+            text = ",".join(itertools.starmap(row.format, value))
+            text = f"[{text}\n  ]" if text else "[]"
+        parts.append(f'"{key}": {text}')
+    return "{\n  " + ",\n  ".join(parts) + "\n}"
+
+
 def ptable_to_json(table: PTable, alpha: Optional[QuadraticNumber] = None) -> str:
-    data = {
-        "schema": SCHEMA,
-        "kind": "ptable",
-        "source": table.source.value,
-        "pairs": [list(p) for p in table.pairs],
-    }
+    members = [
+        ("schema", SCHEMA, None),
+        ("kind", "ptable", None),
+        ("source", table.source.value, None),
+        ("pairs", table.pairs, _PAIR_ROW),
+    ]
     if alpha is not None:
-        data["alpha"] = str(alpha)
-        data["beatty"] = [
-            {"floor_n_alpha": fa, "floor_n_beta": fb, "delta2": d2}
-            for fa, fb, d2 in _beatty_columns(alpha, len(table))
-        ]
-    return json.dumps(data, indent=2)
+        beatty = _beatty_columns(alpha, len(table))
+        if beatty:  # delta2 is undefined at n = 0
+            beatty[0] = (*beatty[0][:2], "null")
+        members += [("alpha", str(alpha), None), ("beatty", beatty, _BEATTY_ROW)]
+    return _indented_json(members)
 
 
 def ptable_from_json(text: str) -> PTable:
@@ -534,13 +556,12 @@ def positions_to_csv(positions: Set[Position]) -> str:
 
 
 def positions_to_json(positions: Set[Position], bound: int) -> str:
-    data = {
-        "schema": SCHEMA,
-        "kind": "oracle",
-        "bound": bound,
-        "positions": [list(p) for p in sorted(positions)],
-    }
-    return json.dumps(data, indent=2)
+    return _indented_json([
+        ("schema", SCHEMA, None),
+        ("kind", "oracle", None),
+        ("bound", bound, None),
+        ("positions", sorted(positions), _PAIR_ROW),
+    ])
 
 
 def oracle_table(positions: Set[Position], limit: Optional[int] = None) -> PTable:

@@ -36,7 +36,7 @@ from beatty_games.games import (
     ruleset_from_json,
 )
 from beatty_games.quadfield import QuadraticNumber
-from beatty_games.solver import MAX_ROW_RULE_COUNT, ptable_from_csv, ptable_from_json, retrograde_oracle
+from beatty_games.solver import MAX_ORACLE_BOUND, MAX_ROW_RULE_COUNT, ptable_from_csv, ptable_from_json, retrograde_oracle
 
 A55_TEXT = "(5+1*sqrt(5))/5"
 PHI_TEXT = "(1+1*sqrt(5))/2"
@@ -211,6 +211,11 @@ GOLDEN_WRITTEN = {
                                 "--count", "50"],
     "oracle_parity_half_50.json": ["oracle", "--family", "modified", "--parity-half",
                                    "--bound", "50"],
+    # 200 beatty rows from a GAP_AFFINE table, and a relaxed oracle set
+    "gen_target_beatty_a55_200.json": ["gen", "--family", "modified", "--target-beatty",
+                                       A55_TEXT, "--count", "200"],
+    "oracle_relaxed_target_phi_60.json": ["oracle", "--family", "relaxed", "--target-beatty",
+                                          PHI_TEXT, "--bound", "60"],
 }
 # These read their moves from stdin; `input` writes its prompts to stdout.
 GOLDEN_PLAYED = {
@@ -542,6 +547,24 @@ class TestPlay:
             assert f"position: pile A = {x}, pile B = {y}\n" in out
             starts.add((x, y))
         assert len(starts) > 1
+
+    @pytest.mark.parametrize("bound", [0, -3, MAX_ORACLE_BOUND + 1, 5000])
+    def test_random_bound_outside_the_oracle_cap_exits_two(self, monkeypatch, capsys, bound):
+        # refused before any draw, so under every seed
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        for seed in ("1", "2"):
+            argv = ["play", "--constant", "1", "--random-bound", str(bound), "--seed", seed]
+            assert run(argv) == (EXIT_PARSE, "")
+            assert capsys.readouterr() == (
+                "", f"error: --random-bound must be in [1, {MAX_ORACLE_BOUND}], got {bound}\n")
+
+    @pytest.mark.parametrize("bound", [1, MAX_ORACLE_BOUND])
+    def test_random_bound_at_its_ends_plays(self, monkeypatch, capsys, bound):
+        code, out = play(monkeypatch, capsys, ["--constant", "1", "--random-bound", str(bound), "--seed", "1"],
+                         ["quit"])
+        rng = random.Random(1)
+        x, y = canonical(rng.randint(1, bound), rng.randint(1, bound))
+        assert code == EXIT_OK and f"position: pile A = {x}, pile B = {y}\n" in out
 
     @pytest.mark.parametrize("start, message", [
         (["0", "0"], "start position must have tokens"),

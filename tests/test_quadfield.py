@@ -1004,3 +1004,14 @@ class TestCopyAndPickle:
         assert again == pair
         assert [again.delta2(n) for n in range(30, 0, -1)] == [delta2(A19, n) for n in range(30, 0, -1)]
         assert [again.delta2(n) for n in range(1, 30)] == first
+
+    def test_held_words_are_not_pickled_or_copied(self):
+        pair = conjugate_beatty(A19)
+        bare = len(pickle.dumps(pair))
+        pair.delta2(3)
+        assert "_words" in vars(pair)
+        assert len(pickle.dumps(pair)) == bare < 200
+        for again in (pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
+            assert "_words" not in vars(again)
+            assert again == pair and hash(again) == hash(pair)
+            assert [again.delta2(n) for n in (1, 3, 4096, 4097)] == [delta2(A19, n) for n in (1, 3, 4096, 4097)]

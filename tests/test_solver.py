@@ -1,11 +1,14 @@
 import itertools
+import json
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from beatty_games.classifier import classify_alpha, enumerate_families
 from beatty_games.games import (
+    SCHEMA,
     BeattyDelta,
     Constant,
     ConstraintSpec,
@@ -33,6 +36,7 @@ from beatty_games.solver import (
     compare_tables,
     detect_gap,
     oracle_table,
+    positions_to_json,
     ptable_from_csv,
     ptable_from_json,
     ptable_to_csv,
@@ -811,3 +815,82 @@ class TestSerialization:
         rules = RuleSet(Family.MODIFIED, Constant(1))
         table = oracle_table(retrograde_oracle(rules, 10))
         assert table.pairs == ((0, 0), (1, 2), (3, 5), (4, 7), (6, 10))
+
+
+def reference_ptable_json(table, alpha=None):
+    """ptable_to_json as json.dumps of the whole record, the Beatty columns
+    from exact floors."""
+    data = {
+        "schema": SCHEMA,
+        "kind": "ptable",
+        "source": table.source.value,
+        "pairs": [list(p) for p in table.pairs],
+    }
+    if alpha is not None:
+        beta = conjugate_beatty(alpha).beta
+        fa = [beatty_floor(alpha, n) for n in range(len(table))]
+        fb = [beatty_floor(beta, n) for n in range(len(table))]
+        data["alpha"] = str(alpha)
+        data["beatty"] = [
+            {"floor_n_alpha": fa[n], "floor_n_beta": fb[n],
+             "delta2": None if n == 0 else fb[n] - fb[n - 1] - (fa[n] - fa[n - 1])}
+            for n in range(len(table))
+        ]
+    return json.dumps(data, indent=2)
+
+
+def reference_positions_json(positions, bound):
+    data = {"schema": SCHEMA, "kind": "oracle", "bound": bound, "positions": [list(p) for p in sorted(positions)]}
+    return json.dumps(data, indent=2)
+
+
+BIG = st.integers(-10**30, 10**30)
+
+
+class TestJsonWriters:
+    """The row-by-row writers against json.dumps(record, indent=2)."""
+
+    def test_every_generator_path_and_parser(self):
+        specs = [Constant(1), Constant(3), BeattyDelta(A55), BeattyDelta(A19), TargetBeatty(A55),
+                 TargetBeatty(PHI), ParityHalf()]
+        for spec in specs:
+            tables = [recurrence_closed(spec, 60), solve_doublemex(spec, 60)]
+            try:
+                tables.append(solve_relaxed(spec, 60))
+            except HypothesisError:
+                pass
+            for family in Family:
+                tables.append(oracle_table(retrograde_oracle(RuleSet(family, spec), 40)))
+            for table in [*tables]:
+                tables += [ptable_from_csv(ptable_to_csv(table)), ptable_from_json(ptable_to_json(table))]
+            for table in tables:
+                for alpha in {None, getattr(spec, "alpha", None)}:
+                    assert ptable_to_json(table, alpha) == reference_ptable_json(table, alpha), (spec, alpha)
+
+    @pytest.mark.parametrize("count", [1, 2, 2 * 10**4])
+    @pytest.mark.parametrize("spec", [BeattyDelta(A55), BeattyDelta(A19), TargetBeatty(A55)])
+    def test_sizes(self, spec, count):
+        table = solve_doublemex(spec, count)
+        for alpha in (None, spec.alpha):
+            assert ptable_to_json(table, alpha) == reference_ptable_json(table, alpha)
+
+    def test_oracle_sets(self):
+        for spec in (Constant(1), BeattyDelta(A55), TargetBeatty(PHI), ParityHalf()):
+            for family in Family:
+                for bound in (1, 2, 60):
+                    pset = retrograde_oracle(RuleSet(family, spec), bound)
+                    assert positions_to_json(pset, bound) == reference_positions_json(pset, bound)
+        assert positions_to_json(set(), 7) == reference_positions_json(set(), 7)
+        assert '"positions": []' in positions_to_json(set(), 7)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(pairs=st.lists(st.tuples(BIG, BIG), max_size=30), source=st.sampled_from(TableSource),
+           alpha=st.sampled_from([None, A55, A19, PHI]),
+           positions=st.sets(st.builds(Position, BIG, BIG), max_size=30), bound=BIG)
+    @example(pairs=[], source=TableSource.ORACLE, alpha=A55, positions=set(), bound=0)
+    @example(pairs=[(0, 0)], source=TableSource.DOUBLE_MEX, alpha=A55, positions={Position(0, 0)}, bound=1)
+    def test_random_integer_tables(self, pairs, source, alpha, positions, bound):
+        table = PTable(tuple(pairs), source)
+        assert ptable_to_json(table, alpha) == reference_ptable_json(table, alpha)
+        assert ptable_to_json(table) == reference_ptable_json(table)
+        assert positions_to_json(positions, bound) == reference_positions_json(positions, bound)
