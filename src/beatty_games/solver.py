@@ -28,11 +28,14 @@ The retrograde oracle never looks at a recurrence.  Every move from a
 canonical (x, y) lands in a lower row or lower in row x, so it labels the
 board row by row: each earlier P-pair, in each orientation, excludes one
 y-interval of the row, and the row's P-position is the least unused y >= x
-outside those intervals.  That is O(bound * #P) constraint evaluations and
-O(#P) memory; the keys it evaluates, which a strict ExplicitTable must hold,
-are (d1, d2, x) with d1 < x <= bound and d2 < bound.  The oracle and the
-general double-mex path share that row sweep; the tests hold both to a naive
-search over legal_moves.
+outside those intervals.  That is O(#P) memory, and for a GENERAL
+constraint O(bound * #P) evaluations, at the keys (d1, d2, x) with
+d1 < x <= bound and d2 < bound that a strict ExplicitTable must hold.  A
+shaped constraint is read once per row, by its shape, so ORIGIN costs
+O(bound) evaluations and O(bound * #P) integer arithmetic, and GAP_AFFINE
+O(bound) gap calls and near-linear time.  The oracle and the general
+double-mex path share that row sweep; the tests hold both to a naive search
+over legal_moves.
 
 Table rules: a table starts at (0, 0), its a_n strictly increase, a_n <= b_n,
 and a DOUBLE_MEX or RELAXED_RECURRENCE table uses no value twice (a tie
@@ -173,7 +176,7 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     else:
         if count > MAX_ROW_RULE_COUNT:
             raise ValueError(f"count {count} exceeds the cap {MAX_ROW_RULE_COUNT} for a GENERAL constraint")
-        pairs = tuple(itertools.islice(_label_rows(constraint.value, False), count))
+        pairs = tuple(itertools.islice(_label_rows(constraint, False), count))
     return PTable(pairs, TableSource.DOUBLE_MEX)
 
 
@@ -338,47 +341,75 @@ def retrograde_oracle(rules: RuleSet, bound: int) -> Set[Position]:
     pair uses.  When that y exceeds the bound the P-position is omitted; no
     position on the board can move to it, so the truncation is exact.
 
-    Cost: O(bound * #P) constraint evaluations and O(#P) memory.  The keys
-    evaluated are (d1, d2, x) with d1 < x <= bound and d2 < bound, each P-pair
-    in both orientations; a strict ExplicitTable must hold them.
+    A shaped constraint is read once per labelled row x >= 1, by its shape:
+    f = value(0, 0, x) (ORIGIN) or g = gap(x) (GAP_AFFINE).  Pair (0, 0)
+    then excludes [x, x+f-1] in both families when f >= 1 (with f = g for
+    GAP_AFFINE), so the search starts at y = x + max(f, 0).  A GAP_AFFINE
+    interval ends at c + (g - (d2 - d1)) - 1 = x + g - 1, so no other one
+    reaches past that start; an ORIGIN one ends at x + (d2 - d1) + f - 1,
+    so only the orientations (a, b) with b > a can.
+
+    Cost: O(#P) memory.  GENERAL: O(bound * #P) constraint evaluations, at
+    the keys (d1, d2, x) with d1 < x <= bound and d2 < bound, each P-pair in
+    both orientations; a strict ExplicitTable must hold them all.  ORIGIN:
+    O(bound) evaluations and O(bound * #P) integer arithmetic.  GAP_AFFINE:
+    O(bound) gap calls, and per row only a skip past the used values.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound > MAX_ORACLE_BOUND:
         raise ValueError(f"oracle bound {bound} exceeds the cap {MAX_ORACLE_BOUND}")
     relaxed = rules.family is Family.RELAXED
-    return {Position(x, y) for x, y in _label_rows(rules.constraint.value, relaxed, bound)}
+    return {Position(x, y) for x, y in _label_rows(rules.constraint, relaxed, bound)}
 
 
-def _label_rows(value, relaxed: bool, bound: Optional[int] = None):
+def _label_rows(constraint: ConstraintSpec, relaxed: bool, bound: Optional[int] = None):
     """Yield the P-pairs (x, y) in row order, by retrograde_oracle's rule.
 
     With a bound, rows stop at x = bound and a P-position with y > bound is
     not yielded; without one the rows go on for as long as they are drawn.
     """
+    general = constraint.shape is Shape.GENERAL
+    origin = constraint.shape is Shape.ORIGIN
+    value = constraint.value
     smaller: Dict[int, int] = {}  # larger element -> smaller element, per P-pair
-    # Orientations (d1, d2) of the P-pairs that the current row can reach:
-    # (a, b) from row a + 1 on, unless b = bound (reached only from y > bound);
-    # (b, a) from row b + 1 on.
+    # The orientations (d1, d2) of the P-pairs that the current row can reach.
+    # GENERAL: (a, b) from row a + 1 on, unless b = bound (reached only from
+    # y > bound); (b, a) from row b + 1 on.  ORIGIN: only the (a, b) with
+    # a < b < bound, the ones that can reach past pair (0, 0)'s interval
+    # (retrograde_oracle's docstring).  GAP_AFFINE: none.
     dests: List[Tuple[int, int]] = []
     for x in itertools.count() if bound is None else range(bound + 1):
         a = smaller.get(x)
         if a is not None:  # row x moves to (a, x): no P-position in it
-            dests.append((x, a))
+            if general:
+                dests.append((x, a))
             continue
         intervals: List[Tuple[int, int]] = []
-        for d1, d2 in dests:
-            f = value(d1, d2, x)
+        y = x
+        if general:
+            for d1, d2 in dests:
+                f = value(d1, d2, x)
+                if f is not None:
+                    c = x - d1 + d2
+                    hi = c + f - 1
+                    if hi >= y:
+                        lo = d2 + 1 if relaxed or c - f < d2 else c - f + 1
+                        if lo <= hi:
+                            intervals.append((lo, hi))
+        elif x:  # row 0 reaches no pair, and BeattyDelta is undefined there
+            f = value(0, 0, x) if origin else constraint.gap(x)
             if f is not None:
-                c = x - d1 + d2
-                hi = c + f - 1
-                if hi >= x:
-                    lo = d2 + 1 if relaxed or c - f < d2 else c - f + 1
-                    if lo <= hi:
-                        intervals.append((lo, hi))
+                y = x + max(f, 0)  # past pair (0, 0)'s interval
+                for d1, d2 in dests:
+                    c = x - d1 + d2
+                    hi = c + f - 1
+                    if hi >= y:
+                        lo = d2 + 1 if relaxed or c - f < d2 else c - f + 1
+                        if lo <= hi:
+                            intervals.append((lo, hi))
         # Sweep the intervals by lower end; every y' in [x, y) is excluded.
         intervals.sort()
-        y = x
         for lo, hi in intervals:
             while y < lo and y in smaller:
                 y += 1
@@ -392,7 +423,8 @@ def _label_rows(value, relaxed: bool, bound: Optional[int] = None):
         if bound is None or y <= bound:
             smaller[y] = x
             if bound is None or y < bound:
-                dests.append((x, y))
+                if general or origin and y > x:
+                    dests.append((x, y))
             yield x, y
 
 

@@ -198,11 +198,19 @@ GOLDEN_CASES = {
     "oracle_parity_half_50.csv": ["oracle", "--family", "modified", "--parity-half",
                                   "--bound", "50"],
     # TargetBeatty: 200 pairs read past the 64-row first table through two
-    # doublings; the oracle reads it through `value`.
+    # doublings; the oracle reads it through `gap`, once per row.
     "gen_target_beatty_a55_200.csv": ["gen", "--family", "modified", "--target-beatty",
                                       A55_TEXT, "--count", "200"],
     "oracle_relaxed_target_phi_60.csv": ["oracle", "--family", "relaxed", "--target-beatty",
                                          PHI_TEXT, "--bound", "60"],
+    # One oracle per shaped path and family: ORIGIN and GAP_AFFINE on the
+    # modified game, ORIGIN on relaxed Wythoff.
+    "oracle_beatty_a55_200.csv": ["oracle", "--family", "modified", "--beatty", A55_TEXT,
+                                  "--bound", "200"],
+    "oracle_target_beatty_a55_200.csv": ["oracle", "--family", "modified", "--target-beatty",
+                                         A55_TEXT, "--bound", "200"],
+    "oracle_relaxed_constant3_200.csv": ["oracle", "--family", "relaxed", "--constant", "3",
+                                         "--bound", "200"],
 }
 # These are written to the --output file, which is read back.
 GOLDEN_WRITTEN = {

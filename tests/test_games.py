@@ -11,6 +11,7 @@ from beatty_games.games import (
     ParityHalf,
     Position,
     RuleSet,
+    Shape,
     TargetBeatty,
     canonical,
     constraint_from_dict,
@@ -147,6 +148,34 @@ class TestRowTables:
         assert calls[0] <= 8, calls[0]
         beta = conjugate_beatty(A19).beta
         assert table.pairs == tuple((beatty_floor(A19, n), beatty_floor(beta, n)) for n in range(10**4))
+
+
+class TestShapeContract:
+    """The oracle and the generators read a shaped constraint once per row,
+    so every built-in ORIGIN or GAP_AFFINE constraint must keep its shape."""
+
+    def test_value_follows_the_shape(self):
+        rng = random.Random(20261020)
+        slopes = [PHI, A55, A19, QuadraticNumber(0, 1, 1, 2)]
+        specs = [Constant(t) for t in (1, 2, 3, 4)]
+        specs += [kind(alpha) for kind in (BeattyDelta, TargetBeatty) for alpha in slopes]
+        shaped = {cls for cls in games._CONSTRAINT_KINDS.values() if cls.shape is not Shape.GENERAL}
+        assert {type(spec) for spec in specs} == shaped
+        x0s = [*range(1, 80), *rng.sample(range(80, 5000), 300), games._TABLE_CAP + 3]
+        defined = 0
+        for spec in specs:
+            for x0 in x0s:
+                keys = [(0, 0), (x0 - 1, x0 - 1)] + [
+                    (rng.randint(0, x0 - 1), rng.randint(0, 4 * x0 + 8)) for _ in range(6)]
+                for x1, y1 in keys:
+                    if spec.shape is Shape.ORIGIN:
+                        want = spec.value(0, 0, x0)
+                    else:
+                        g = spec.gap(x0)
+                        want = None if g is None else g - (y1 - x1)
+                        defined += g is not None
+                    assert spec.value(x1, y1, x0) == want, (spec, x1, y1, x0)
+        assert defined > 0  # TargetBeatty is undefined off its lower sequence
 
 
 class TestLegalMoves:

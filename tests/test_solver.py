@@ -105,6 +105,29 @@ def random_origin_f(rng, count):
     return [None if rng.random() < miss else rng.randint(lo, hi) for _ in range(2 * count)]
 
 
+def gap_affine(gap):
+    """The GAP_AFFINE constraint gap(x0) - (y1 - x1), undefined where gap is."""
+    def fn(x1, y1, x0):
+        g = gap(x0)
+        return None if g is None else g - (y1 - x1)
+
+    return FnConstraint(fn, Shape.GAP_AFFINE, gap)
+
+
+def random_shaped_specs(rng, k, size):
+    """k ORIGIN and k GAP_AFFINE constraints reading seeded lists indexed by
+    x0 < size, their values drawn from pools that hold None, 0 and negatives."""
+    pools = [(None, -2, -1, 0, 1, 2, 3), (None, 0, 1), (-1, 0, 1, 2, 5), (1, 2, 9), (None, 1, 4, 30)]
+    specs = []
+    for _ in range(k):
+        pool = rng.choice(pools)
+        f = [rng.choice(pool) for _ in range(size)]
+        specs.append(FnConstraint(lambda x1, y1, x0, f=f: f[x0], Shape.ORIGIN))
+        pool = rng.choice(pools)
+        specs.append(gap_affine([rng.choice(pool) for _ in range(size)].__getitem__))
+    return specs
+
+
 def random_slope(rng):
     """A seeded slope (p + q*sqrt(d))/r, irrational and in (1, 2)."""
     while True:
@@ -273,12 +296,9 @@ class TestDoubleMex:
             gaps.append(g.__getitem__)
         gaps += [lambda x0, t=t: t - x0 for t in (0, 1, 5, 30, 100)]
         for gap in gaps:
-            def fn(x1, y1, x0, gap=gap):
-                g = gap(x0)
-                return None if g is None else g - (y1 - x1)
-
-            fast = solve_doublemex(FnConstraint(fn, Shape.GAP_AFFINE, gap), 60)
-            assert fast == solve_doublemex(FnConstraint(fn, Shape.GENERAL), 60)
+            spec = gap_affine(gap)
+            fast = solve_doublemex(spec, 60)
+            assert fast == solve_doublemex(FnConstraint(spec.value, Shape.GENERAL), 60)
 
     def test_near_linear_constraint_calls(self):
         # A silent fallback to the quadratic row sweep doubles the ratio.
@@ -376,7 +396,7 @@ class TestRelaxed:
         assert solve_relaxed(spec, 12).pairs[7] == (9, 27)
         truth = naive_p_positions(RuleSet(Family.RELAXED, spec), 24)
         assert Position(9, 24) in truth
-        assert list(itertools.islice(_label_rows(spec.value, True), 12))[7] == (9, 24)
+        assert list(itertools.islice(_label_rows(spec, True), 12))[7] == (9, 24)
 
     def test_recurrence_is_exact_when_f_falls_by_at_most_one(self):
         """Random origin-only f, drawn along the visited rows: f >= 1 at the
@@ -392,8 +412,9 @@ class TestRelaxed:
                     drawn[x0] = rng.randint(low, max(low, top))
                 return drawn[x0]
 
-            got = solve_relaxed(FnConstraint(value, Shape.ORIGIN), 60).pairs
-            assert got == tuple(itertools.islice(_label_rows(value, True), 60)), drawn
+            spec = FnConstraint(value, Shape.ORIGIN)
+            got = solve_relaxed(spec, 60).pairs
+            assert got == tuple(itertools.islice(_label_rows(spec, True), 60)), drawn
 
     def test_complementary_and_monotone(self):
         for spec in (BeattyDelta(A55), BeattyDelta(A19), Constant(3)):
@@ -564,6 +585,71 @@ class TestOracle:
             for spec in specs:
                 rules = RuleSet(family, spec)
                 assert retrograde_oracle(rules, 20) == naive_p_positions(rules, 20), rules
+        # The naive search never reads the shape: it checks the shaped rows.
+        rng = random.Random(20261022)
+        for spec in random_shaped_specs(rng, 12, 25):
+            for family in Family:
+                bound = rng.randint(1, 24)
+                rules = RuleSet(family, spec)
+                assert retrograde_oracle(rules, bound) == naive_p_positions(rules, bound), (
+                    spec.shape, family, bound)
+
+    def test_shaped_rows_equal_general_rows(self):
+        rng = random.Random(20261020)
+        specs = [Constant(t) for t in (1, 2, 3, 4)]
+        specs += [BeattyDelta(a) for a in (A55, A19, PHI, SQRT2)]
+        specs += [TargetBeatty(a) for a in (A55, A19, PHI, SQRT2)]
+        specs += random_shaped_specs(rng, 16, 600)
+        for spec in specs:
+            general = FnConstraint(spec.value, Shape.GENERAL)
+            for relaxed in (False, True):
+                bound = rng.randint(1, 200)
+                assert list(_label_rows(spec, relaxed, bound)) == list(
+                    _label_rows(general, relaxed, bound)), (spec, relaxed, bound)
+                # a_n <= 2n - 1, so 300 pairs read x0 < 600
+                assert list(itertools.islice(_label_rows(spec, relaxed), 300)) == list(
+                    itertools.islice(_label_rows(general, relaxed), 300)), (spec, relaxed)
+
+    def test_evaluations_per_row(self):
+        # A shaped constraint is read once per labelled row x >= 1, the rows
+        # whose x is not the larger element of an earlier P-pair; a GENERAL
+        # one once per orientation of each P-pair the row reaches.
+        def counted(spec, shape):
+            calls = {"value": 0, "gap": 0}
+
+            def value(*args):
+                calls["value"] += 1
+                return spec.value(*args)
+
+            def gap(x0):
+                calls["gap"] += 1
+                return spec.gap(x0)
+
+            return FnConstraint(value, shape, gap), calls
+
+        bound = 600
+        for family in Family:
+            for spec in (Constant(1), Constant(3), BeattyDelta(PHI), BeattyDelta(A55),
+                         TargetBeatty(PHI), TargetBeatty(A55), ParityHalf()):
+                for shape in {spec.shape, Shape.GENERAL}:
+                    wrapped, calls = counted(spec, shape)
+                    pset = retrograde_oracle(RuleSet(family, wrapped), bound)
+                    larger = {y for x, y in pset if x < y}
+                    rows = [x for x in range(1, bound + 1) if x not in larger]
+                    if shape is Shape.GENERAL:
+                        want = {"value": sum(
+                            sum(a < x and b < bound for a, b in pset) + sum(a < b < x for a, b in pset)
+                            for x in rows), "gap": 0}
+                    elif shape is Shape.ORIGIN:
+                        want = {"value": len(rows), "gap": 0}
+                    else:
+                        want = {"value": 0, "gap": len(rows)}
+                    assert calls == want, (family, spec, shape)
+        # The same count as one evaluation per orientation before the
+        # shaped rows: 101,458 at 230 P-pairs.
+        wrapped, calls = counted(Constant(1), Shape.GENERAL)
+        assert len(retrograde_oracle(RuleSet(Family.MODIFIED, wrapped), 600)) == 230
+        assert calls["value"] == 101458
 
     def test_random_tables_equal_naive_search(self):
         rng = random.Random(20220801)
@@ -787,11 +873,7 @@ class TestSerialization:
             specs.append(FnConstraint(lambda x1, y1, x0, f=f: f[x0], Shape.ORIGIN))
         for _ in range(10):
             g = [None if rng.random() < 0.2 else rng.randint(-3, 7) for _ in range(300)]
-
-            def fn(x1, y1, x0, g=g):
-                return None if g[x0] is None else g[x0] - (y1 - x1)
-
-            specs.append(FnConstraint(fn, Shape.GAP_AFFINE, g.__getitem__))
+            specs.append(gap_affine(g.__getitem__))
         for _ in range(10):
             specs.append(random_table(rng, 16, origin_only=rng.random() < 0.5))
         paths = set()
