@@ -1,18 +1,65 @@
 """P-position generation, the exact retrograde oracle, and table tooling.
 
+The row rule.  Every move from a canonical (x, y) lands in a row below x, or
+in row x at a smaller y: a diagonal destination (d1, d2) has
+min(d1, d2) <= d1 < x, and a Nim move shortens one pile.  So the board is
+labelled row by row.  A row holds at most one P-position, since a Nim move
+along the row reaches it, and none when x already belongs to an earlier
+P-pair; so the rows that hold one are, in turn, the mex of the values
+used so far.  f = f(d1, d2, x) does not depend on y, so each earlier
+P-pair, in each orientation (d1, d2) with d1 < x, is reached diagonally
+from the y of one interval, with c = x - d1 + d2: [max(d2+1, c-f+1), c+f-1]
+in the modified game, [d2+1, c+f-1] in relaxed Wythoff, none when f is
+None.  The row's P-position has the least y >= x outside every interval
+that no earlier pair uses.
+
+One private generator, `_rows`, yields these pairs in row order, with one
+rule per shape and family; one union-find over the used values does every
+rule's skip past them:
+
+    shape        modified              relaxed
+    ORIGIN       covered runs          staircase
+    GAP_AFFINE   one gap call, then the least unused y >= x + max(g, 0)
+    GENERAL      interval sweep        interval sweep
+
+* GENERAL: evaluate every orientation the row reaches and sweep the
+  intervals by lower end: O(#P) evaluations per row.
+* A shaped constraint is read once per row, at f = value(0, 0, x) (ORIGIN)
+  or g = gap(x) (GAP_AFFINE), and pair (0, 0) then excludes [x, x+f-1] in
+  both families when f >= 1 (f = g for GAP_AFFINE).
+* GAP_AFFINE, f = g(x) - (d2 - d1): every interval ends at
+  c + f - 1 = x + g - 1, so none reaches past pair (0, 0)'s.
+* ORIGIN, modified: the search runs in d = y - x.  Pair (0, 0)'s interval
+  holds [0, f-1] and so every swapped one and every tie's.  Pair k's is
+  [e_k+1-t, e_k+f-1], e_k = b_k - a_k, at age t = min(x - a_k, f): for one
+  f its top is fixed and its bottom falls as x rises until the pair matures
+  (t = f).  So what a row covers stays covered at every later row with that
+  f, and per f the intervals merge into sorted, disjoint covered runs of d
+  (`_CoveredRuns`).  A row covers the intervals of its f's pairs not yet
+  matured, fewer than f of them young; y = x + d for the least uncovered d
+  whose y no pair uses.  Near-linear time for Constant and BeattyDelta
+  while f stays small.
+* ORIGIN, relaxed: pair k excludes y in [b_k+1, x+e_k+f-1], and a swapped
+  or tie one lies inside pair (0, 0)'s [1, x+f-1].  So y is free iff it is
+  unused and y >= x + f + M(y), M(y) = max{e_k : b_k < y}; M is read by
+  bisection from the staircase of the (b_k, e_k) that no other pair
+  dominates, two sorted lists.  y only rises in the search, and b_n can
+  fall below b_{n-1} when f falls.
+
+Memory is O(#P) on every path.  retrograde_oracle and solve_doublemex both
+run these rows, so on a shaped constraint the oracle and the generator
+share code.  Two references read no shape: the GENERAL rows of a shaped
+constraint (wrapped as GENERAL) and a naive search over legal_moves; the
+tests hold every shaped rule to both.
+
 Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
 
 * recurrence_closed  — b_n = f(a_{n-1}, b_{n-1}, a_n) + b_{n-1} + a_n - a_{n-1},
   the closed formula that is only guaranteed when consecutive exclusion
   intervals leave no gaps (2*min f - max f >= 1).
-* solve_doublemex    — the true P-positions of the modified game: b_n is the
-  least b >= a_n distinct from every prior b_k and outside one interval per
-  prior pair in each orientation (d1, d2) with d1 < a_n, namely
-  [max(d2+1, c-f+1), c+f-1] with c = a_n - d1 + d2 and f = f(d1, d2, a_n).
-  The constraint's shape picks the path, each in O(count) memory;
-  solve_doublemex's docstring gives each path's rule and cost, the
-  MAX_COUNT cap every generator shares, and the GENERAL path's
-  MAX_ROW_RULE_COUNT.
+* solve_doublemex    — the true P-positions of the modified game: the first
+  `count` rows.  MAX_COUNT caps every generator, and MAX_ROW_RULE_COUNT the
+  GENERAL rows, whose time grows as count^2.
 * solve_relaxed      — the closed formula again, for relaxed Wythoff.  Its
   checks require f >= 0 and f >= 1 at the first step; that is not enough
   (f = 3, 2, 3, 2, 3, 3, 3, 3, 1, ... gives (9, 27) where the P-position
@@ -24,26 +71,13 @@ hypothesis checks: the closed one refuses an undefined f (ValueError), the
 relaxed one reads it as 0 and raises HypothesisError when f < 0, or when
 f < 1 at the first step.
 
-The retrograde oracle never looks at a recurrence.  Every move from a
-canonical (x, y) lands in a lower row or lower in row x, so it labels the
-board row by row: each earlier P-pair, in each orientation, excludes one
-y-interval of the row, and the row's P-position is the least unused y >= x
-outside those intervals.  That is O(#P) memory, and for a GENERAL
-constraint O(bound * #P) evaluations, at the keys (d1, d2, x) with
-d1 < x <= bound and d2 < bound that a strict ExplicitTable must hold.  A
-shaped constraint is read once per row, by its shape, so ORIGIN costs
-O(bound) evaluations and O(bound * #P) integer arithmetic, and GAP_AFFINE
-O(bound) gap calls and near-linear time.  The oracle and the general
-double-mex path share that row sweep; the tests hold both to a naive search
-over legal_moves.
-
 Table rules: a table starts at (0, 0), its a_n strictly increase, a_n <= b_n,
 and a DOUBLE_MEX or RELAXED_RECURRENCE table uses no value twice (a tie
 a_n = b_n uses it once).  `_checked_table` checks them only where a table can
 break them: in the two parsers, whose pairs come from outside the program,
 and in recurrence_closed, where a negative f can push b_n below a_n.  The
-other paths keep them by construction: a_n is the mex; each double-mex path
-picks b_n >= a_n among unused values; under f >= 0 the relaxed b_n strictly
+other paths keep them by construction: a_n is the mex; the rows pick
+b_n >= a_n among unused values; under f >= 0 the relaxed b_n strictly
 increases and b_n >= a_n + f; oracle_table sorts canonical P-positions, (0, 0)
 among them, with distinct smaller piles; cli's verify keeps a subsequence.
 
@@ -133,51 +167,19 @@ def recurrence_closed(constraint: ConstraintSpec, count: int) -> PTable:
 
 
 def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
-    """True P-positions of the modified game, by the double-mex construction.
+    """True P-positions of the modified game: the first `count` rows.
 
-    a_n is the mex of the values used so far.  Each prior pair, in each
-    orientation (d1, d2) with d1 < a_n, is reached diagonally from the b of
-    one interval, with f = f(d1, d2, a_n) and c = a_n - d1 + d2:
-    [max(d2+1, c-f+1), c+f-1] (none when f is None).  b_n is the least
-    b >= a_n outside every interval and distinct from every prior b_k.
-    `count` must be in [1, MAX_COUNT], as for every generator here.  The
-    path follows constraint.shape:
-
-    GENERAL: retrograde_oracle's row rule run for `count` pairs instead of
-    up to a bound, at O(count) evaluations per pair, O(count^2) in all, so
-    `count` is also capped at MAX_ROW_RULE_COUNT.
-
-    ORIGIN: f = f(a_n) is evaluated once per pair and the search runs in
-    d = b - a_n.  Pair (0, 0)'s interval holds [0, f-1] and so every swapped
-    one.  Pair k's is [e_k+1-t, e_k+f-1], e_k = b_k - a_k, at age
-    t = min(a_n - a_k, f): for one f its top is fixed and its bottom falls
-    as a_n rises until the pair matures (t = f).  So what a row covers stays
-    covered at every later row with that f, and per f the intervals merge
-    into sorted, disjoint covered runs of d, at most one per pair.  A row
-    covers the intervals of its f's pairs not yet matured, fewer than f of
-    them young; b_n is the least uncovered d no prior b_k uses: a bisection,
-    then one per used b met.  An interval starting at or above the last
-    run's start grows or appends a run in O(1); one below it bisects and
-    splices.  Memory O(count); near-linear time for Constant and BeattyDelta
-    while f stays small.
-
-    GAP_AFFINE, f = g(a_n) - (d2 - d1): every interval ends at
-    c + f - 1 = a_n + g - 1, below a_n when g <= 0; when g >= 1, pair
-    (0, 0)'s interval [a_n-g+1, a_n+g-1] covers all of [a_n, a_n+g-1].  So
-    b_n is the least unused b >= a_n + max(g, 0), or a_n when g is None: one
-    gap call and a union-find step per pair, memory O(count) however far
-    b_n runs ahead of it.
+    b_n is the least b >= a_n distinct from every prior b_k and outside the
+    intervals of the module docstring's row rule, found by the rule of the
+    constraint's shape.  `count` must be in [1, MAX_COUNT], as for every
+    generator here, and in [1, MAX_ROW_RULE_COUNT] for a GENERAL constraint,
+    whose rows cost O(count) evaluations each, O(count^2) in all.  Every
+    path holds O(count) memory, however far b_n runs ahead of a_n.
     """
     _check_count(count)
-    if constraint.shape is Shape.ORIGIN:
-        pairs = _doublemex_origin_only(constraint.value, count)
-    elif constraint.shape is Shape.GAP_AFFINE:
-        pairs = _doublemex_gap_affine(constraint.gap, count)
-    else:
-        if count > MAX_ROW_RULE_COUNT:
-            raise ValueError(f"count {count} exceeds the cap {MAX_ROW_RULE_COUNT} for a GENERAL constraint")
-        pairs = tuple(itertools.islice(_label_rows(constraint, False), count))
-    return PTable(pairs, TableSource.DOUBLE_MEX)
+    if constraint.shape is Shape.GENERAL and count > MAX_ROW_RULE_COUNT:
+        raise ValueError(f"count {count} exceeds the cap {MAX_ROW_RULE_COUNT} for a GENERAL constraint")
+    return PTable(tuple(itertools.islice(_rows(constraint, False), count)), TableSource.DOUBLE_MEX)
 
 
 def _check_count(count: int) -> None:
@@ -202,6 +204,17 @@ class _CoveredRuns:
         i = bisect_right(self.los, d) - 1
         return self.his[i] + 1 if i >= 0 and d <= self.his[i] else d
 
+    def row(self, xs: List[int], es: List[int], x: int, f: int) -> int:
+        """Cover row x's intervals of the pairs (a_k, a_k + e_k) not yet
+        matured, and return the least uncovered d >= 0."""
+        for j in range(self.matured, len(xs)):
+            age = x - xs[j]  # falls with j: the matured pairs are a prefix
+            if age >= f:  # matured: the interval is final
+                self.matured = j + 1
+                age = f
+            self.cover(es[j] + 1 - age, es[j] + f - 1)
+        return self.find(0)
+
     def cover(self, lo: int, hi: int) -> None:
         los, his = self.los, self.his
         if not los or lo > his[-1] + 1:  # past the last run: a new one
@@ -218,63 +231,6 @@ class _CoveredRuns:
             lo, hi = min(lo, los[i]), max(hi, his[j - 1])
         los[i:j] = [lo]
         his[i:j] = [hi]
-
-
-def _doublemex_origin_only(value, count: int) -> Tuple[Tuple[int, int], ...]:
-    pairs = [(0, 0)]
-    gaps = [0]  # e_k = b_k - a_k
-    used = {0}  # above a_n these are all prior b_k
-    covers: Dict[int, _CoveredRuns] = defaultdict(_CoveredRuns)
-    a = 0
-    for _ in range(1, count):
-        a += 1  # the mex only grows
-        while a in used:
-            a += 1
-        f = value(0, 0, a)
-        d = 0  # with no interval b = a_n, the mex, which no pair has used
-        if f is not None and f >= 1:
-            cover = covers[f]
-            for j in range(cover.matured, len(pairs)):
-                age = a - pairs[j][0]  # falls with j: the matured pairs are a prefix
-                if age >= f:  # matured: the interval is final
-                    cover.matured = j + 1
-                    age = f
-                cover.cover(gaps[j] + 1 - age, gaps[j] + f - 1)
-            d = cover.find(0)
-            while a + d in used:
-                d = cover.find(d + 1)
-        b = a + d
-        pairs.append((a, b))
-        gaps.append(d)
-        used.add(b)
-    return tuple(pairs)
-
-
-def _doublemex_gap_affine(gap, count: int) -> Tuple[Tuple[int, int], ...]:
-    # Union-find over y > 0: a used y points past itself, so unused(y) is the
-    # least unused y' >= y.  Only used values have an entry, so memory
-    # follows count even where b_n is far above it (slopes near 1).
-    parent: Dict[int, int] = {}
-
-    def unused(y: int) -> int:
-        root = y
-        while root in parent:
-            root = parent[root]
-        while y != root:
-            parent[y], y = root, parent[y]
-        return root
-
-    pairs = [(0, 0)]
-    a = 0
-    for _ in range(1, count):
-        a = unused(a + 1)  # the mex only grows
-        g = gap(a)
-        # a is still unused here, so b = a (a tie) stays possible
-        b = unused(a if g is None or g < 0 else a + g)
-        parent[a] = a + 1
-        parent[b] = b + 1
-        pairs.append((a, b))
-    return tuple(pairs)
 
 
 def solve_relaxed(constraint: ConstraintSpec, count: int) -> PTable:
@@ -325,106 +281,129 @@ def _recurrence(value, count: int, relaxed: bool) -> Tuple[Tuple[int, int], ...]
 
 
 def retrograde_oracle(rules: RuleSet, bound: int) -> Set[Position]:
-    """Exact P-positions with y <= bound, labelled row by row.
+    """Exact P-positions with y <= bound, by the module docstring's row rule.
 
-    Every move from a canonical (x, y) lands in a row below x, or in row x at
-    a smaller y: a diagonal destination (d1, d2) has min(d1, d2) <= d1 < x,
-    and a Nim move shortens one pile.  So rows x = 0..bound are labelled in
-    order.  A row holds at most one P-position, since a Nim move along the
-    row reaches it, and none when x already belongs to an earlier P-pair.
-
-    f = f(d1, d2, x) does not depend on y, so an earlier pair in orientation
-    (d1, d2) with d1 < x is reached diagonally from the y of one interval,
-    with c = x - d1 + d2: [max(d2+1, c-f+1), c+f-1] in the modified game,
-    [d2+1, c+f-1] in relaxed Wythoff (none when f is None).  The row's
-    P-position is the least y >= x outside every interval that no earlier
-    pair uses.  When that y exceeds the bound the P-position is omitted; no
-    position on the board can move to it, so the truncation is exact.
-
-    A shaped constraint is read once per labelled row x >= 1, by its shape:
-    f = value(0, 0, x) (ORIGIN) or g = gap(x) (GAP_AFFINE).  Pair (0, 0)
-    then excludes [x, x+f-1] in both families when f >= 1 (with f = g for
-    GAP_AFFINE), so the search starts at y = x + max(f, 0).  A GAP_AFFINE
-    interval ends at c + (g - (d2 - d1)) - 1 = x + g - 1, so no other one
-    reaches past that start; an ORIGIN one ends at x + (d2 - d1) + f - 1,
-    so only the orientations (a, b) with b > a can.
+    Rows x = 0..bound are labelled in order.  When a row's P-position has
+    y > bound it is omitted; no position on the board can move to it, so
+    the truncation is exact.
 
     Cost: O(#P) memory.  GENERAL: O(bound * #P) constraint evaluations, at
     the keys (d1, d2, x) with d1 < x <= bound and d2 < bound, each P-pair in
-    both orientations; a strict ExplicitTable must hold them all.  ORIGIN:
-    O(bound) evaluations and O(bound * #P) integer arithmetic.  GAP_AFFINE:
-    O(bound) gap calls, and per row only a skip past the used values.
+    both orientations; a strict ExplicitTable must hold them all.  A shaped
+    constraint is read once per labelled row x in 1..bound, never at
+    bound + 1, and costs what its rule costs in solve_doublemex.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound > MAX_ORACLE_BOUND:
         raise ValueError(f"oracle bound {bound} exceeds the cap {MAX_ORACLE_BOUND}")
     relaxed = rules.family is Family.RELAXED
-    return {Position(x, y) for x, y in _label_rows(rules.constraint, relaxed, bound)}
+    return {Position(x, y) for x, y in _rows(rules.constraint, relaxed, bound)}
 
 
-def _label_rows(constraint: ConstraintSpec, relaxed: bool, bound: Optional[int] = None):
-    """Yield the P-pairs (x, y) in row order, by retrograde_oracle's rule.
+def _rows(constraint: ConstraintSpec, relaxed: bool, bound: Optional[int] = None):
+    """Yield the P-pairs (x, y) in row order, by the module docstring's rule.
 
-    With a bound, rows stop at x = bound and a P-position with y > bound is
-    not yielded; without one the rows go on for as long as they are drawn.
+    With a bound, rows stop at x = bound and a pair with y > bound is not
+    yielded; without one the rows go on for as long as they are drawn.
     """
-    general = constraint.shape is Shape.GENERAL
-    origin = constraint.shape is Shape.ORIGIN
-    value = constraint.value
-    smaller: Dict[int, int] = {}  # larger element -> smaller element, per P-pair
-    # The orientations (d1, d2) of the P-pairs that the current row can reach.
-    # GENERAL: (a, b) from row a + 1 on, unless b = bound (reached only from
-    # y > bound); (b, a) from row b + 1 on.  ORIGIN: only the (a, b) with
-    # a < b < bound, the ones that can reach past pair (0, 0)'s interval
-    # (retrograde_oracle's docstring).  GAP_AFFINE: none.
-    dests: List[Tuple[int, int]] = []
-    for x in itertools.count() if bound is None else range(bound + 1):
-        a = smaller.get(x)
-        if a is not None:  # row x moves to (a, x): no P-position in it
-            if general:
-                dests.append((x, a))
-            continue
-        intervals: List[Tuple[int, int]] = []
-        y = x
+    value, gap = constraint.value, constraint.gap
+    general, origin = constraint.shape is Shape.GENERAL, constraint.shape is Shape.ORIGIN
+    # Union-find over the used values: a used y points past itself, so
+    # unused(y) is the least unused y' >= y.  Only the larger value of each
+    # pair has an entry, since every later query lies above the smaller one;
+    # so memory follows the pairs however far y runs ahead of x.
+    parent: Dict[int, int] = {0: 1}
+
+    def unused(y: int) -> int:
+        root = y
+        while root in parent:
+            root = parent[root]
+        while y != root:
+            parent[y], y = root, parent[y]
+        return root
+
+    # Each rule's state starts with pair (0, 0).  GENERAL: the orientations
+    # (d1, d2) the row reaches, (a, b) and, once the rows pass b, (b, a).
+    # ORIGIN: e_k = b_k - a_k per pair, with the covered runs per f
+    # (modified) or the staircase of the (b_k, e_k) no other pair dominates
+    # (relaxed).  With a bound, a pair (a, b) with b >= bound joins no rule's
+    # intervals: they would start above b, off the board.
+    smaller, dests = {0: 0}, [(0, 0)]
+    xs, es = [0], [0]
+    covers: Dict[int, _CoveredRuns] = defaultdict(_CoveredRuns)
+    stair_b, stair_e = [0], [0]
+    yield 0, 0
+    x = 0
+    while True:
+        prev, x = x, x + 1
+        while x in parent:  # the mex only grows: this walk is linear over all rows
+            x += 1
+        if bound is not None and x > bound:
+            return
         if general:
+            for s in range(prev + 1, x):  # rows owned by an earlier pair
+                dests.append((s, smaller[s]))
+            intervals: List[Tuple[int, int]] = []
             for d1, d2 in dests:
                 f = value(d1, d2, x)
                 if f is not None:
                     c = x - d1 + d2
                     hi = c + f - 1
-                    if hi >= y:
+                    if hi >= x:
                         lo = d2 + 1 if relaxed or c - f < d2 else c - f + 1
                         if lo <= hi:
                             intervals.append((lo, hi))
-        elif x:  # row 0 reaches no pair, and BeattyDelta is undefined there
-            f = value(0, 0, x) if origin else constraint.gap(x)
-            if f is not None:
-                y = x + max(f, 0)  # past pair (0, 0)'s interval
-                for d1, d2 in dests:
-                    c = x - d1 + d2
-                    hi = c + f - 1
-                    if hi >= y:
-                        lo = d2 + 1 if relaxed or c - f < d2 else c - f + 1
-                        if lo <= hi:
-                            intervals.append((lo, hi))
-        # Sweep the intervals by lower end; every y' in [x, y) is excluded.
-        intervals.sort()
-        for lo, hi in intervals:
-            while y < lo and y in smaller:
-                y += 1
-            if y < lo:
-                break
-            if y <= hi:
-                y = hi + 1
-        else:
-            while y in smaller:
-                y += 1
-        if bound is None or y <= bound:
+            # Sweep the intervals by lower end; every y' in [x, y) is excluded.
+            intervals.sort()
+            y = x
+            for lo, hi in intervals:
+                if y < lo and y in parent:
+                    y = unused(y)
+                if y < lo:
+                    break
+                if y <= hi:
+                    y = hi + 1
+            if y in parent:
+                y = unused(y)
             smaller[y] = x
             if bound is None or y < bound:
-                if general or origin and y > x:
-                    dests.append((x, y))
+                dests.append((x, y))
+        else:
+            f = value(0, 0, x) if origin else gap(x)
+            if f is None:
+                y = x  # no interval; x, the mex, is unused
+            elif not origin:
+                y = unused(x + max(f, 0))
+            elif relaxed:
+                # y is free iff y >= x + f + M(y), M(y) = max{e_k : b_k < y}.
+                y = x
+                while True:
+                    if y in parent:
+                        y = unused(y)
+                    i = bisect_left(stair_b, y)
+                    need = x + f + stair_e[i - 1]
+                    if y >= need:
+                        break
+                    y = need
+                # A pair k with b_k > y has e_k > y - x, as a_k < x; so
+                # (y, y - x) is dominated or dominates no point.
+                if stair_e[i - 1] < y - x and (bound is None or y < bound):
+                    stair_b.insert(i, y)
+                    stair_e.insert(i, y - x)
+            else:
+                d = 0  # f < 1 casts no interval
+                if f >= 1:
+                    cover = covers[f]
+                    d = cover.row(xs, es, x, f)
+                    while x + d in parent:
+                        d = cover.find(unused(x + d) - x)
+                y = x + d
+                if d and (bound is None or y < bound):  # a tie's interval lies inside (0, 0)'s
+                    xs.append(x)
+                    es.append(d)
+        parent[y] = y + 1
+        if bound is None or y <= bound:
             yield x, y
 
 

@@ -211,6 +211,11 @@ GOLDEN_CASES = {
                                          A55_TEXT, "--bound", "200"],
     "oracle_relaxed_constant3_200.csv": ["oracle", "--family", "relaxed", "--constant", "3",
                                          "--bound", "200"],
+    # ORIGIN at the oracle's cap, 4,096: the covered runs and the staircase.
+    "oracle_constant1_4096.csv": ["oracle", "--family", "modified", "--constant", "1",
+                                  "--bound", "4096"],
+    "oracle_relaxed_beatty_a55_4096.csv": ["oracle", "--family", "relaxed", "--beatty", A55_TEXT,
+                                           "--bound", "4096"],
 }
 # These are written to the --output file, which is read back.
 GOLDEN_WRITTEN = {

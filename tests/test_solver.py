@@ -32,7 +32,7 @@ from beatty_games.solver import (
     PTable,
     TableSource,
     _CoveredRuns,
-    _label_rows,
+    _rows,
     compare_tables,
     detect_gap,
     oracle_table,
@@ -396,7 +396,7 @@ class TestRelaxed:
         assert solve_relaxed(spec, 12).pairs[7] == (9, 27)
         truth = naive_p_positions(RuleSet(Family.RELAXED, spec), 24)
         assert Position(9, 24) in truth
-        assert list(itertools.islice(_label_rows(spec, True), 12))[7] == (9, 24)
+        assert list(itertools.islice(_rows(spec, True), 12))[7] == (9, 24)
 
     def test_recurrence_is_exact_when_f_falls_by_at_most_one(self):
         """Random origin-only f, drawn along the visited rows: f >= 1 at the
@@ -414,7 +414,7 @@ class TestRelaxed:
 
             spec = FnConstraint(value, Shape.ORIGIN)
             got = solve_relaxed(spec, 60).pairs
-            assert got == tuple(itertools.islice(_label_rows(spec, True), 60)), drawn
+            assert got == tuple(itertools.islice(_rows(spec, True), 60)), drawn
 
     def test_complementary_and_monotone(self):
         for spec in (BeattyDelta(A55), BeattyDelta(A19), Constant(3)):
@@ -600,15 +600,25 @@ class TestOracle:
         specs += [BeattyDelta(a) for a in (A55, A19, PHI, SQRT2)]
         specs += [TargetBeatty(a) for a in (A55, A19, PHI, SQRT2)]
         specs += random_shaped_specs(rng, 16, 600)
-        for spec in specs:
+        specs.append(gap_affine(lambda x0: 300 - x0))  # rows 1..299 all aim at y = 300
+        cases = [(spec, relaxed) for spec in specs for relaxed in (False, True)]
+        # Relaxed ORIGIN f from [1, 40] and from [-2, 6], a tenth undefined.
+        for lo, hi in [(1, 40), (-2, 6)] * 8:
+            f = [None if rng.random() < 0.1 else rng.randint(lo, hi) for _ in range(600)]
+            cases.append((FnConstraint(lambda x1, y1, x0, f=f: f[x0], Shape.ORIGIN), True))
+        falls = 0
+        for spec, relaxed in cases:
             general = FnConstraint(spec.value, Shape.GENERAL)
-            for relaxed in (False, True):
-                bound = rng.randint(1, 200)
-                assert list(_label_rows(spec, relaxed, bound)) == list(
-                    _label_rows(general, relaxed, bound)), (spec, relaxed, bound)
-                # a_n <= 2n - 1, so 300 pairs read x0 < 600
-                assert list(itertools.islice(_label_rows(spec, relaxed), 300)) == list(
-                    itertools.islice(_label_rows(general, relaxed), 300)), (spec, relaxed)
+            bound = rng.randint(1, 200)
+            assert list(_rows(spec, relaxed, bound)) == list(
+                _rows(general, relaxed, bound)), (spec, relaxed, bound)
+            # a_n <= 2n - 1, so 300 pairs read x0 < 600
+            rows = list(itertools.islice(_rows(spec, relaxed), 300))
+            assert rows == list(itertools.islice(_rows(general, relaxed), 300)), (spec, relaxed)
+            if relaxed and spec.shape is Shape.ORIGIN:
+                falls += any(b < prev for (_, prev), (_, b) in zip(rows, rows[1:]))
+        # The staircase's hard case: a relaxed b_n below b_{n-1}.
+        assert falls >= 1
 
     def test_evaluations_per_row(self):
         # A shaped constraint is read once per labelled row x >= 1, the rows
@@ -650,6 +660,44 @@ class TestOracle:
         wrapped, calls = counted(Constant(1), Shape.GENERAL)
         assert len(retrograde_oracle(RuleSet(Family.MODIFIED, wrapped), 600)) == 230
         assert calls["value"] == 101458
+
+    def test_piled_up_used_values(self):
+        # gap(x) = k - x aims rows 1..k-1 at y = k, so their values pile up
+        # into one run that each row skips past through the union-find.
+        def model(k, bound):
+            """Least unused y >= x + max(g, 0), kept if y <= bound."""
+            used, pset = {0}, {Position(0, 0)}
+            for x in range(1, bound + 1):
+                if x not in used:
+                    y = x + max(k - x, 0)
+                    while y in used:
+                        y += 1
+                    used.update((x, y))
+                    if y <= bound:
+                        pset.add(Position(x, y))
+            return pset
+
+        wide, small = model(2048, MAX_ORACLE_BOUND), model(300, 600)
+        for family in Family:
+            spec = gap_affine(lambda x0: 2048 - x0)
+            assert retrograde_oracle(RuleSet(family, spec), MAX_ORACLE_BOUND) == wide, family
+            spec = gap_affine(lambda x0: 300 - x0)
+            general = FnConstraint(spec.value, Shape.GENERAL)
+            assert retrograde_oracle(RuleSet(family, spec), 600) == small, family
+            assert retrograde_oracle(RuleSet(family, general), 600) == small, family
+
+    def test_truncation_at_the_cap(self):
+        # The oracle at the cap keeps the unbounded rows with x, y <= the cap,
+        # and on the board y <= 1,024 it equals the GENERAL rows of the same f.
+        cap = MAX_ORACLE_BOUND
+        for spec in (Constant(1), Constant(3), BeattyDelta(PHI), BeattyDelta(A55), TargetBeatty(PHI)):
+            general = FnConstraint(spec.value, Shape.GENERAL)
+            for family in Family:
+                pset = retrograde_oracle(RuleSet(family, spec), cap)
+                rows = itertools.takewhile(lambda p: p[0] <= cap, _rows(spec, family is Family.RELAXED))
+                assert pset == {Position(x, y) for x, y in rows if y <= cap}, (spec, family)
+                assert {p for p in pset if p.y <= 1024} == retrograde_oracle(
+                    RuleSet(family, general), 1024), (spec, family)
 
     def test_random_tables_equal_naive_search(self):
         rng = random.Random(20220801)
