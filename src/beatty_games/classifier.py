@@ -130,7 +130,8 @@ def _classify(pair: BeattyPair) -> ClassificationResult:
 
 
 def golden_alpha(t: int) -> QuadraticNumber:
-    """Slope (2 - t + sqrt(t*t + 4)) / 2; its conjugate satisfies beta = alpha + t."""
+    """Slope (2 - t + sqrt(t*t + 4)) / 2 = [1; t, t, ...]; its conjugate
+    satisfies beta = alpha + t = [t + 1; t, t, ...]."""
     if t < 1:
         raise ValueError("t must be >= 1")
     return QuadraticNumber(2 - t, 1, 2, t * t + 4)

@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
+from .quadfield import QuadraticNumber, _step_word, beatty_floor, conjugate_beatty
 
 
 class Position(NamedTuple):
@@ -70,6 +71,11 @@ class ConstraintSpec:
     def params(self) -> dict:
         raise NotImplementedError
 
+    def _beatty_words(self, m: int) -> Optional[Tuple[Tuple[int, bytes], Tuple[int, bytes]]]:
+        """(floor(x), steps) words of `quadfield._step_word`, m steps, for x = alpha, beta: the slopes
+        whose Beatty rows the recurrences write out on this constraint (`solver`), or None."""
+        return None
+
 
 @dataclass(eq=True)
 class Constant(ConstraintSpec):
@@ -88,6 +94,11 @@ class Constant(ConstraintSpec):
 
     def params(self) -> dict:
         return {"t": self.t}
+
+    def _beatty_words(self, m: int) -> Tuple[Tuple[int, bytes], Tuple[int, bytes]]:
+        # alpha_t = [1; t, t, ...], beta_t = alpha_t + t (classifier.golden_alpha), from the
+        # quotients alone: at large t the radicand t*t + 4 exceeds quadfield.MAX_RADICAND.
+        return tuple(_step_word(chain((whole,), repeat(self.t)), m) for whole in (1, self.t + 1))
 
 
 # The row tables of BeattyDelta and TargetBeatty answer x0 up to this cap,
@@ -157,6 +168,9 @@ class BeattyDelta(_BeattyRows):
 
     def _exact(self, x0: int, n: int) -> Optional[int]:
         return self.pair.delta2(n)
+
+    def _beatty_words(self, m: int) -> Tuple[Tuple[int, bytes], Tuple[int, bytes]]:
+        return self.pair._steps(m)
 
     def _cells(self, k: int, m: int) -> Sequence[Optional[int]]:
         (_, ua), (b, ub) = self.pair._steps(m)

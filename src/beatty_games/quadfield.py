@@ -20,7 +20,8 @@ number, beta, and checks the pair in integers (1 < alpha < 2 and beta > 2 by
 the sign of a numerator, 1/alpha + 1/beta = 1 coordinatewise).
 Rows come from the continued fractions: the PQa recurrence expands alpha
 and beta with one isqrt each, and the steps of floor(n*x) are the
-characteristic Sturmian word of {x}, built as bytes from standard words.
+characteristic Sturmian word of {x}, built as bytes from standard words
+by `_step_word`, which reads nothing of x but its partial quotients.
 Each pair builds the step words of alpha and beta once, _HELD_ROWS bytes
 each, on first use.  Up to that length `pair.delta2(n)` and
 `pair.trichotomy(n)` read one byte of each word, and `pair._steps(m)` slices
@@ -28,10 +29,10 @@ them; past it delta2 takes four exact floors by isqrt and `_steps` builds
 fresh words, so memory per pair stays bounded.  `pair._floors(m)` gives
 floor(n*alpha) and floor(n*beta) for n < m, each as one `accumulate` over
 the word translated to floor(x) + step, with no isqrt and no Python
-bytecode per n.  Each slope value holds its pair:
-the first `conjugate_beatty(alpha)` builds and checks it, and every later call
-with that alpha, including those inside the public `delta2(alpha, n)` and
-`trichotomy_class(alpha, n)`, returns the same one.
+bytecode per n (`_running_floors`, which takes any two words).  Each slope
+value holds its pair: the first `conjugate_beatty(alpha)` builds and checks
+it, and every later call with that alpha, including those inside the public
+`delta2(alpha, n)` and `trichotomy_class(alpha, n)`, returns the same one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, takewhile
+from itertools import accumulate, chain, count, takewhile
 from math import gcd, isqrt
 from operator import add
 from typing import Iterator, Optional, Tuple
@@ -351,7 +352,8 @@ class BeattyPair:
         try:
             return self._words
         except AttributeError:
-            (_, ua), (whole, ub) = _step_word(self.alpha, _HELD_ROWS), _step_word(self.beta, _HELD_ROWS)
+            (_, ua), (whole, ub) = (
+                _step_word(_partial_quotients(x), _HELD_ROWS) for x in (self.alpha, self.beta))
             object.__setattr__(self, "_words", (ua, whole, ub))
             return self._words
 
@@ -384,20 +386,13 @@ class BeattyPair:
         if m <= _HELD_ROWS:
             ua, whole, ub = self._held()
             return (1, ua[:m]), (whole, ub[:m])
-        return _step_word(self.alpha, m), _step_word(self.beta, m)
+        return tuple(_step_word(_partial_quotients(x), m) for x in (self.alpha, self.beta))
 
     def _floors(self, m: int) -> Tuple[Iterator[int], ...]:
-        """Iterators over floor(n*alpha) and floor(n*beta) for n < m: one
-        running sum over each step word read as floor(x) + step, which
-        `bytes.translate` writes while floor(x) + 1 fits in a byte."""
+        """Iterators over floor(n*alpha) and floor(n*beta) for n < m, by `_running_floors`."""
         if m < 1:
             return iter(()), iter(())
-        return tuple(
-            accumulate(steps.translate(bytes((whole, whole + 1)) + bytes(254)), initial=0)
-            if whole < 255
-            else map(add, accumulate(steps, initial=0), range(0, whole * m, whole))
-            for whole, steps in self._steps(m - 1)
-        )
+        return _running_floors(self._steps(m - 1))
 
     def trichotomy(self, n: int) -> Trichotomy:
         """Classify n by membership in X = {floor(m/{alpha})} and Y = {floor(m/{beta})}.
@@ -437,8 +432,10 @@ def _partial_quotients(x: QuadraticNumber) -> Iterator[int]:
         Q = (d - P * P) // Q
 
 
-def _step_word(x: QuadraticNumber, m: int) -> Tuple[int, bytes]:
-    """floor(x) and the bytes floor((k+1)*x) - floor(k*x) - floor(x), k < m, of an irrational x > 0.
+def _step_word(quotients: Iterator[int], m: int) -> Tuple[int, bytes]:
+    """floor(x) and the bytes floor((k+1)*x) - floor(k*x) - floor(x), k < m,
+    of the irrational x > 0 whose partial quotients a_0, a_1, ... the
+    iterator yields (`_partial_quotients(x)` for a quadratic x).
 
     The steps are those of {x}: 0 at k = 0, then the characteristic word of
     {x} = [0; a_1, a_2, ...], the limit of the standard words s_{-1} = 1,
@@ -447,7 +444,6 @@ def _step_word(x: QuadraticNumber, m: int) -> Tuple[int, bytes]:
     the next from s_1 on.  A repetition that reaches m letters is cut there,
     so a huge partial quotient costs no more than a small one.
     """
-    quotients = _partial_quotients(x)
     whole = next(quotients)
     need = m - 1  # letters after the leading 0
     prev, word = b"\1", b"\0"
@@ -460,6 +456,17 @@ def _step_word(x: QuadraticNumber, m: int) -> Tuple[int, bytes]:
     else:
         word *= -(-need // len(word))
     return whole, (b"\0" + word)[:m]
+
+
+def _running_floors(words) -> Tuple[Iterator[int], ...]:
+    """Iterators over floor(n*x), n <= len(steps), per (floor(x), steps) of `_step_word`: a running
+    sum of floor(x) + step, by `bytes.translate` while that fits a byte, else of step plus n*floor(x)."""
+    return tuple(
+        accumulate(steps.translate(bytes((whole, whole + 1)) + bytes(254)), initial=0)
+        if whole < 255
+        else map(add, accumulate(steps, initial=0), count(0, whole))
+        for whole, steps in words
+    )
 
 
 def conjugate_beatty(alpha: QuadraticNumber) -> BeattyPair:

@@ -69,7 +69,16 @@ Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
 The two recurrences run one loop, `_recurrence`, and differ only in their
 hypothesis checks: the closed one refuses an undefined f (ValueError), the
 relaxed one reads it as 0 and raises HypothesisError when f < 0, or when
-f < 1 at the first step.
+f < 1 at the first step.  On BeattyDelta(alpha) and Constant(t) the loop
+writes out the Beatty rows (floor(n*alpha), floor(n*beta)), which
+`_recurrence` spells from the constraint's step words (`_beatty_words`).
+By induction, as the integers strictly between floor((n-1)*alpha) and
+floor(n*alpha) are floor(k*beta), k < n (Beatty's theorem): the mex is
+a_n = floor(n*alpha), where BeattyDelta reads delta2(n) since
+floor((a_n + 1)/alpha) = n, and b_n = b_{n-1} + delta2(n) + a_n - a_{n-1}
+= floor(n*beta).  Constant(t) is delta2 of alpha_t = [1; t, t, ...] =
+beta_t - t (Fraenkel's theorem: b_n = a_n + t*n).  No check can fire:
+delta2 >= floor(beta) - 2 >= 0, delta2(1) = floor(beta) - 1 >= 1, t >= 1.
 
 Table rules: a table starts at (0, 0), its a_n strictly increase, a_n <= b_n,
 and a DOUBLE_MEX or RELAXED_RECURRENCE table uses no value twice (a tie
@@ -107,7 +116,7 @@ from .games import (
     RuleSet,
     Shape,
 )
-from .quadfield import QuadraticNumber, conjugate_beatty
+from .quadfield import QuadraticNumber, _running_floors, conjugate_beatty
 
 MAX_ORACLE_BOUND = 4096  # board size; the oracle's time grows as bound * #P
 MAX_COUNT = 10**6  # pairs per generator call
@@ -162,8 +171,9 @@ def _checked_table(pairs: Tuple[Tuple[int, int], ...], source: TableSource) -> P
 
 
 def recurrence_closed(constraint: ConstraintSpec, count: int) -> PTable:
-    """First `count` pairs of the closed recurrence, whether or not they are P."""
-    return _checked_table(_recurrence(constraint.value, count, False), TableSource.CLOSED_RECURRENCE)
+    """First `count` pairs of the closed recurrence, whether or not they are P:
+    on BeattyDelta and Constant, the slope's Beatty rows (module docstring)."""
+    return _checked_table(_recurrence(constraint, count, False), TableSource.CLOSED_RECURRENCE)
 
 
 def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
@@ -237,22 +247,24 @@ def solve_relaxed(constraint: ConstraintSpec, count: int) -> PTable:
     """Pairs of relaxed Wythoff via b_n = f + b_{n-1} + a_n - a_{n-1}.
 
     Checks f >= 0 on every visited value and f >= 1 at the first step
-    (x0 = 1), raising HypothesisError otherwise.  Passing them does not make
-    the pairs P-positions.  For an origin-only f, randomised probes against
-    the retrograde oracle's rule support a sufficient condition: in addition,
-    f(a_n) >= f(a_{n-1}) - 1 at every step.  A larger fall can give a wrong
-    pair.
+    (x0 = 1), raising HypothesisError otherwise; passing them does not make
+    the pairs P-positions (module docstring).  On BeattyDelta and Constant
+    the pairs are the slope's Beatty rows and no check can fail.
     """
-    return PTable(_recurrence(constraint.value, count, True), TableSource.RELAXED_RECURRENCE)
+    return PTable(_recurrence(constraint, count, True), TableSource.RELAXED_RECURRENCE)
 
 
-def _recurrence(value, count: int, relaxed: bool) -> Tuple[Tuple[int, int], ...]:
+def _recurrence(constraint: ConstraintSpec, count: int, relaxed: bool) -> Tuple[Tuple[int, int], ...]:
     """Pairs of b_n = f(a_{n-1}, b_{n-1}, a_n) + b_{n-1} + a_n - a_{n-1}.
 
-    a_n, the mex of the values used so far, only grows: a pointer that skips
-    the used b's finds it.  The hypothesis checks are the module docstring's.
+    From the constraint's Beatty words if any; else a_n, the mex, only grows
+    and a pointer skipping the used b's finds it.  See the module docstring.
     """
     _check_count(count)
+    words = constraint._beatty_words(count - 1)
+    if words is not None:
+        return tuple(zip(*_running_floors(words)))
+    value = constraint.value
     pairs = [(0, 0)]
     append = pairs.append
     used = {0}

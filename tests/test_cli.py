@@ -216,6 +216,12 @@ GOLDEN_CASES = {
                                   "--bound", "4096"],
     "oracle_relaxed_beatty_a55_4096.csv": ["oracle", "--family", "relaxed", "--beatty", A55_TEXT,
                                            "--bound", "4096"],
+    # The relaxed recurrences spelled from step words; floor(beta) = 301 at
+    # t = 300 takes the wide branch of the running floors.
+    "gen_relaxed_constant300_600.csv": ["gen", "--family", "relaxed", "--constant", "300",
+                                        "--count", "600"],
+    "gen_relaxed_beatty_a55_300.csv": ["gen", "--family", "relaxed", "--beatty", A55_TEXT,
+                                       "--count", "300"],
 }
 # These are written to the --output file, which is read back.
 GOLDEN_WRITTEN = {

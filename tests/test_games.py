@@ -22,7 +22,7 @@ from beatty_games.games import (
     ruleset_to_json,
 )
 from beatty_games.quadfield import QuadraticNumber, beatty_floor, conjugate_beatty
-from beatty_games.solver import MAX_COUNT, solve_relaxed
+from beatty_games.solver import MAX_COUNT, recurrence_closed, solve_relaxed
 
 PHI = QuadraticNumber(1, 1, 2, 5)
 A55 = QuadraticNumber(5, 1, 5, 5)
@@ -148,6 +148,24 @@ class TestRowTables:
         assert calls[0] <= 8, calls[0]
         beta = conjugate_beatty(A19).beta
         assert table.pairs == tuple((beatty_floor(A19, n), beatty_floor(beta, n)) for n in range(10**4))
+
+
+    def test_recurrences_read_no_value(self, monkeypatch):
+        # Constant and BeattyDelta give their Beatty words: the rows are spelled
+        # out, not read from the constraint pair by pair.
+        calls = [0]
+        for cls in (Constant, BeattyDelta):
+            def counting(self, x1, y1, x0, value=cls.value):
+                calls[0] += 1
+                return value(self, x1, y1, x0)
+
+            monkeypatch.setattr(cls, "value", counting)
+        solve_relaxed(Constant(3), 10**4)
+        recurrence_closed(BeattyDelta(A19), 10**4)
+        assert calls[0] == 0
+        Constant(3).value(0, 0, 1)
+        BeattyDelta(A19).value(0, 0, 1)
+        assert calls[0] == 2  # the counters are live
 
 
 class TestShapeContract:

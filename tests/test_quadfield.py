@@ -19,6 +19,7 @@ from beatty_games.classifier import (
     classify_alpha,
     delta2_range,
     enumerate_families,
+    golden_alpha,
     inverse_solve,
 )
 from beatty_games.quadfield import (
@@ -34,7 +35,7 @@ from beatty_games.quadfield import (
     rayleigh_verify,
     trichotomy_class,
 )
-from beatty_games.games import BeattyDelta
+from beatty_games.games import BeattyDelta, Constant
 from beatty_games.solver import detect_gap, solve_relaxed
 
 iv.prec = 400  # ~120 decimal digits; the interval floor below must be unambiguous
@@ -940,7 +941,19 @@ class TestHeldWords:
             pair = conjugate_beatty(alpha)
             for m in (0, 1, 7, self.HELD - 1, self.HELD, self.HELD + 1):
                 assert pair._steps(m) == (
-                    quadfield._step_word(alpha, m), quadfield._step_word(pair.beta, m)), (alpha, m)
+                    quadfield._step_word(quadfield._partial_quotients(alpha), m),
+                    quadfield._step_word(quadfield._partial_quotients(pair.beta), m)), (alpha, m)
+
+    def test_constant_streams_equal_the_golden_slopes(self):
+        # Constant(t) spells its rows from alpha_t = [1; t, t, ...] and
+        # beta_t = [t + 1; t, t, ...] without building either number.
+        for t in range(1, 41):
+            pair = conjugate_beatty(golden_alpha(t))
+            streams = [itertools.chain((whole,), itertools.repeat(t)) for whole in (1, t + 1)]
+            assert [list(itertools.islice(q, 30)) for q in streams] == [
+                list(itertools.islice(quadfield._partial_quotients(x), 30)) for x in (pair.alpha, pair.beta)], t
+            for m in (1, 100, 5000):
+                assert Constant(t)._beatty_words(m) == pair._steps(m), (t, m)
 
     def test_held_calls_take_no_floor(self, monkeypatch):
         calls = [0]

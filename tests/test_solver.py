@@ -2,11 +2,12 @@ import itertools
 import json
 import random
 import tracemalloc
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from beatty_games.classifier import classify_alpha, enumerate_families
+from beatty_games.classifier import classify_alpha, enumerate_families, golden_alpha
 from beatty_games.games import (
     SCHEMA,
     BeattyDelta,
@@ -147,6 +148,19 @@ def seeded_slopes_by_kind(k, seed=20261019):
         if len(kind) < k and alpha not in kind:
             kind.append(alpha)
     return kinds[True] + kinds[False]
+
+
+def criterion_10_slopes(k):
+    """The first k slopes that criterion 10 (tests/test_acceptance.py) draws."""
+    rng = random.Random(20250811)
+    nonsquares = [d for d in range(2, 51) if isqrt(d) ** 2 != d]
+    out = []
+    while len(out) < k:
+        alpha = QuadraticNumber(rng.randint(-30, 30), rng.choice([q for q in range(-8, 9) if q]),
+                                rng.randint(1, 12), rng.choice(nonsquares))
+        if alpha.q != 0 and 1 < alpha < 2 and alpha not in out:
+            out.append(alpha)
+    return out
 
 
 def beatty_table(alpha, count):
@@ -527,6 +541,21 @@ class TestRecurrenceLoop:
             ("solve_relaxed", "pairs"), ("solve_relaxed", ValueError),
             ("solve_relaxed", HypothesisError),
         }
+
+
+    def test_beatty_words_equal_the_loop(self):
+        # Constant and BeattyDelta spell their rows from step words; the loop,
+        # reached through a wrapper with no words, is the reference.  Counts lie
+        # either side of the held words (quadfield._HELD_ROWS = 4096), and
+        # floor(beta) >= 255 for golden_alpha(300) and Constant(255).
+        slopes = [PHI, A55, A19, SQRT2, *criterion_10_slopes(8), golden_alpha(300)]
+        specs = [BeattyDelta(alpha) for alpha in slopes]
+        specs += [Constant(t) for t in (1, 2, 3, 4, 7, 254, 255, 10**9)]
+        for spec in specs:
+            loop = FnConstraint(spec.value, Shape.ORIGIN)
+            for count in (1, 2, 3, 64, 4096, 4097, 4098, 10**4):
+                for gen in (solve_relaxed, recurrence_closed):
+                    assert gen(spec, count) == gen(loop, count), (spec, count, gen.__name__)
 
 
 class TestOracle:
