@@ -130,7 +130,7 @@ def _cmd_verify(args, out) -> int:
     recurrence = recurrence_closed(rules.constraint, args.count)
     pset = retrograde_oracle(rules, args.bound)
     # The oracle cannot certify beyond its board: intersect the domains.
-    trimmed = tuple(p for p in recurrence.pairs if p[1] <= args.bound)
+    trimmed = tuple([p for p in recurrence.pairs if p[1] <= args.bound])
     recurrence = PTable(trimmed, recurrence.source)
     truth = oracle_table(pset, limit=len(trimmed))
     index = compare_tables(recurrence, truth)

@@ -89,6 +89,9 @@ other paths keep them by construction: a_n is the mex; the rows pick
 b_n >= a_n among unused values; under f >= 0 the relaxed b_n strictly
 increases and b_n >= a_n + f; oracle_table sorts canonical P-positions, (0, 0)
 among them, with distinct smaller piles; cli's verify keeps a subsequence.
+Tables are built in a list and made a tuple once: a tuple grown from an
+iterator is re-tracked on each resize, so every young collection would
+rescan it.
 
 ptable_to_json and positions_to_json give json.dumps(record, indent=2) byte
 for byte, but write their row lists one format call per row: with an indent
@@ -189,7 +192,7 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     _check_count(count)
     if constraint.shape is Shape.GENERAL and count > MAX_ROW_RULE_COUNT:
         raise ValueError(f"count {count} exceeds the cap {MAX_ROW_RULE_COUNT} for a GENERAL constraint")
-    return PTable(tuple(itertools.islice(_rows(constraint, False), count)), TableSource.DOUBLE_MEX)
+    return PTable(tuple(list(itertools.islice(_rows(constraint, False), count))), TableSource.DOUBLE_MEX)
 
 
 def _check_count(count: int) -> None:
@@ -263,7 +266,7 @@ def _recurrence(constraint: ConstraintSpec, count: int, relaxed: bool) -> Tuple[
     _check_count(count)
     words = constraint._beatty_words(count - 1)
     if words is not None:
-        return tuple(zip(*_running_floors(words)))
+        return tuple(list(zip(*_running_floors(words))))
     value = constraint.value
     pairs = [(0, 0)]
     append = pairs.append
@@ -559,7 +562,7 @@ def ptable_from_json(text: str) -> PTable:
     """Inverse of ptable_to_json; a malformed structure raises ValueError."""
     data = json.loads(text)
     try:
-        pairs = tuple((a, b) for a, b in data["pairs"])
+        pairs = tuple([(a, b) for a, b in data["pairs"]])
         source = TableSource(data["source"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ptable: {exc}") from exc
@@ -589,5 +592,5 @@ def positions_to_json(positions: Set[Position], bound: int) -> str:
 
 def oracle_table(positions: Set[Position], limit: Optional[int] = None) -> PTable:
     """Sort an oracle P-set into table form (P-pairs have distinct smaller piles)."""
-    pairs = tuple((int(x), int(y)) for x, y in sorted(positions)[:limit])
+    pairs = tuple([(int(x), int(y)) for x, y in sorted(positions)[:limit]])
     return PTable(pairs, TableSource.ORACLE)

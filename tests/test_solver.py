@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -974,6 +975,65 @@ class TestSerialization:
         rules = RuleSet(Family.MODIFIED, Constant(1))
         table = oracle_table(retrograde_oracle(rules, 10))
         assert table.pairs == ((0, 0), (1, 2), (3, 5), (4, 7), (6, 10))
+
+
+def young_tuple_lengths(call):
+    """call()'s result, and the longest tuple in generation 0 at the start of
+    each young collection during the call.  Objects made before it are aged
+    first, so only the call's own tuples count."""
+    longest = []
+
+    def hook(phase, info):
+        if phase == "start" and info["generation"] == 0:
+            longest.append(max((len(o) for o in gc.get_objects(0) if type(o) is tuple), default=0))
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        result = call()
+    finally:
+        gc.callbacks.remove(hook)
+    return result, longest
+
+
+class TestTableBuild:
+    """Every table is built in a list and made a tuple once (module docstring)."""
+
+    def test_no_young_collection_sees_a_half_built_table(self):
+        # A tuple grown from an iterator re-enters generation 0 on each
+        # resize, so every young collection in the call would scan it again.
+        big = solve_relaxed(Constant(1), 10**5)
+        json_text, csv_text = ptable_to_json(big), ptable_to_csv(big)
+        positions = {Position(a, b) for a, b in big.pairs}
+        loop = FnConstraint(Constant(2).value, Shape.ORIGIN)
+        calls = {
+            "solve_doublemex": lambda: solve_doublemex(BeattyDelta(A19), 2 * 10**4),
+            "ptable_from_json": lambda: ptable_from_json(json_text),
+            "ptable_from_csv": lambda: ptable_from_csv(csv_text),
+            "oracle_table": lambda: oracle_table(positions),
+        }
+        for spec in (BeattyDelta(A19), Constant(2), loop):  # word, word, loop path
+            for generator in (solve_relaxed, recurrence_closed):
+                calls[f"{generator.__name__}({spec.kind})"] = (
+                    lambda generator=generator, spec=spec: generator(spec, 10**5))
+        for name, call in calls.items():
+            _, longest = young_tuple_lengths(call)
+            assert longest, name  # the call ran young collections
+            assert max(longest) < 1000, (name, max(longest))
+
+    def test_pairs_are_a_tuple_of_tuples(self):
+        # PTable equality compares pairs: a list would never equal a tuple.
+        loop = FnConstraint(Constant(2).value, Shape.ORIGIN)
+        tables = [solve_doublemex(spec, 300) for spec in (BeattyDelta(A19), TargetBeatty(A55), loop)]
+        tables.append(solve_doublemex(ParityHalf(), 50))
+        for spec in (BeattyDelta(A19), Constant(2), loop):
+            tables += [solve_relaxed(spec, 300), recurrence_closed(spec, 300)]
+        for family in Family:
+            tables.append(oracle_table(retrograde_oracle(RuleSet(family, Constant(1)), 100)))
+        tables += [parse() for table in list(tables) for parse in parsers(table.pairs, table.source)]
+        for table in tables:
+            assert type(table.pairs) is tuple, table.source
+            assert all(type(row) is tuple for row in table.pairs), table.source
 
 
 def reference_ptable_json(table, alpha=None):
