@@ -11,14 +11,12 @@ inverse problem under relaxed Wythoff rules, which every slope satisfies.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .games import SCHEMA, BeattyDelta, Family, RuleSet
+from .games import SCHEMA, BeattyDelta, Family, RuleSet, _csv_text
 from .quadfield import BeattyPair, QuadraticNumber, _unit_solution, conjugate_beatty
 
 MAX_FAMILY_BOUND = 100  # largest p_max, q_max, t_max of enumerate_families
@@ -143,20 +141,19 @@ def family_ii_alpha(p: int, q: int, beta_floor: int) -> Optional[QuadraticNumber
     Returned only when irrational, inside (1, 2), and self-consistent: the
     conjugate's floor must equal the beta_floor parameter.
     """
-    pair = _family_root(p, q, beta_floor * p - 1, beta_floor)
-    return getattr(pair, "alpha", None)  # None when no pair was built
+    return _family_root(p, q, beta_floor * p - 1, beta_floor)
 
 
 def family_iii_alpha(p: int, q: int) -> Optional[QuadraticNumber]:
     """Positive root (sqrt(4pq + (q-3p-1)^2) + 3q - 3p - 1) / (2q), beta floor 4."""
-    pair = _family_root(p, q, 3 * p + 1 - q, 4)
-    return getattr(pair, "alpha", None)  # None when no pair was built
+    return _family_root(p, q, 3 * p + 1 - q, 4)
 
 
-def _family_root(p: int, q: int, m: int, beta_floor: int) -> Optional[BeattyPair]:
-    """The pair of alpha = (2q - m + sqrt(4pq + m^2)) / (2q) if alpha is irrational,
-    inside (1, 2) and its conjugate's floor is beta_floor: Family II has
-    m = beta_floor*p - 1, Family III has m = 3p + 1 - q and beta_floor 4."""
+def _family_root(p: int, q: int, m: int, beta_floor: int) -> Optional[QuadraticNumber]:
+    """alpha = (2q - m + sqrt(4pq + m^2)) / (2q) if it is irrational, inside
+    (1, 2) and its conjugate's floor is beta_floor, its pair then held by the
+    slope: Family II has m = beta_floor*p - 1, Family III has m = 3p + 1 - q
+    and beta_floor 4."""
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     if beta_floor not in (3, 4):
@@ -164,8 +161,7 @@ def _family_root(p: int, q: int, m: int, beta_floor: int) -> Optional[BeattyPair
     alpha = QuadraticNumber(2 * q - m, 1, 2 * q, 4 * p * q + m * m)
     if alpha.q == 0 or not (1 < alpha < 2):
         return None
-    pair = conjugate_beatty(alpha)
-    return pair if pair.beta.floor() == beta_floor else None
+    return alpha if conjugate_beatty(alpha).beta.floor() == beta_floor else None
 
 
 def inverse_solve(alpha: QuadraticNumber) -> Tuple[RuleSet, BeattyDelta]:
@@ -189,19 +185,19 @@ def enumerate_families(
     out: List[Tuple[QuadraticNumber, ClassificationResult]] = []
     seen = set()
 
-    def push(pair: Optional[BeattyPair]):
-        if pair is None or pair.alpha in seen:
+    def push(alpha: Optional[QuadraticNumber]):
+        if alpha is None or alpha in seen:
             return
-        seen.add(pair.alpha)
-        out.append((pair.alpha, _classify(pair)))
+        seen.add(alpha)
+        out.append((alpha, _classify(conjugate_beatty(alpha))))
 
     for t in range(1, t_max + 1):
-        push(conjugate_beatty(golden_alpha(t)))
+        push(golden_alpha(t))
     for p in range(1, p_max + 1):
         for q in range(1, q_max + 1):
             for bf in (3, 4):
-                push(_family_root(p, q, bf * p - 1, bf))
-            push(_family_root(p, q, 3 * p + 1 - q, 4))
+                push(family_ii_alpha(p, q, bf))
+            push(family_iii_alpha(p, q))
     return out
 
 
@@ -221,26 +217,13 @@ FAMILIES_CSV_COLUMNS = [
 
 
 def families_to_csv(entries: List[Tuple[QuadraticNumber, ClassificationResult]]) -> str:
-    buf = io.StringIO()
-    buf.write("# alpha_decimal_approx is a plotting aid only, not authoritative\n")
-    writer = csv.writer(buf)
-    writer.writerow(FAMILIES_CSV_COLUMNS)
-    for alpha, res in entries:
-        t_or_p = res.t if res.family is FamilyLabel.I else res.p
-        writer.writerow(
-            [
-                res.family.value,
-                "" if t_or_p is None else t_or_p,
-                "" if res.q is None else res.q,
-                "" if res.beta_floor is None else res.beta_floor,
-                alpha.p,
-                alpha.q,
-                alpha.r,
-                alpha.D,
-                alpha.decimal(10),
-            ]
-        )
-    return buf.getvalue()
+    rows = (
+        (res.family.value, res.t if res.family is FamilyLabel.I else res.p, res.q, res.beta_floor,
+         alpha.p, alpha.q, alpha.r, alpha.D, alpha.decimal(10))
+        for alpha, res in entries
+    )
+    comment = "alpha_decimal_approx is a plotting aid only, not authoritative"
+    return _csv_text(comment, FAMILIES_CSV_COLUMNS, rows)
 
 
 def classification_to_json(res: ClassificationResult) -> str:

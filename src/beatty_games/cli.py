@@ -129,8 +129,10 @@ def _cmd_verify(args, out) -> int:
     rules = _build_rules(args)
     recurrence = recurrence_closed(rules.constraint, args.count)
     pset = retrograde_oracle(rules, args.bound)
-    # The oracle cannot certify beyond its board: intersect the domains.
-    trimmed = tuple([p for p in recurrence.pairs if p[1] <= args.bound])
+    # The oracle cannot certify beyond its board: intersect the domains, and
+    # keep each pair's own n, since b_n can fall below an earlier pair's.
+    ns = [n for n, (_, b) in enumerate(recurrence.pairs) if b <= args.bound]
+    trimmed = tuple([recurrence.pairs[n] for n in ns])
     recurrence = PTable(trimmed, recurrence.source)
     truth = oracle_table(pset, limit=len(trimmed))
     index = compare_tables(recurrence, truth)
@@ -138,7 +140,7 @@ def _cmd_verify(args, out) -> int:
         out.write(f"match: closed recurrence equals oracle on {len(trimmed)} pairs\n")
         return EXIT_OK
     out.write(
-        f"divergence at n={index}: recurrence {recurrence.pairs[index]} "
+        f"divergence at n={ns[index]}: recurrence {recurrence.pairs[index]} "
         f"vs oracle {truth.pairs[index]}\n"
     )
     return EXIT_DIVERGENCE

@@ -14,11 +14,13 @@ BeattyDelta and TargetBeatty build their per-x0 tables by one rule, `_BeattyRows
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .quadfield import QuadraticNumber, _step_word, beatty_floor, conjugate_beatty
 
@@ -44,7 +46,7 @@ class Shape(Enum):
     """How a constraint depends on (x1, y1, x0); solve_doublemex picks its path by it."""
 
     ORIGIN = "origin"  # f(x0) alone
-    GAP_AFFINE = "gap_affine"  # f = gap(x0) - (y1 - x1)
+    GAP_AFFINE = "gap_affine"  # f = f(0, 0, x0) - (y1 - x1)
     GENERAL = "general"
 
 
@@ -55,17 +57,14 @@ class ConstraintSpec:
     smaller pile x0 to the physical destination (x1, y1).  ``None`` means the
     diagonal move is disallowed outright.  ``shape`` says what the value
     depends on: ``ORIGIN``, x0 alone (the shape the relaxed recurrence
-    requires); ``GAP_AFFINE``, ``gap(x0) - (y1 - x1)``, with ``gap`` returning
-    ``None`` where the value is; ``GENERAL``, anything else.
+    requires); ``GAP_AFFINE``, ``value(0, 0, x0) - (y1 - x1)``, ``None``
+    wherever ``value(0, 0, x0)`` is; ``GENERAL``, anything else.
     """
 
     kind: str = ""
     shape: Shape = Shape.GENERAL
 
     def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
-        raise NotImplementedError
-
-    def gap(self, x0: int) -> Optional[int]:
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -198,22 +197,22 @@ class TargetBeatty(_BeattyRows):
 
     Defined only when x0 = floor(n*alpha) for some n >= 1; from any other
     origin the diagonal move is disallowed.  It is gap-affine: the value is
-    gap(x0) - (y1 - x1) with gap(x0) = floor(n*beta) - floor(n*alpha).  The
-    table (`_BeattyRows`) holds floor(n*beta) - x0 at x0 = floor(n*alpha)
-    and None elsewhere; above _TABLE_CAP each call takes three exact floors
-    instead.
+    g - (y1 - x1) with g = value(0, 0, x0) = floor(n*beta) - floor(n*alpha).
+    The table (`_BeattyRows`) holds g at x0 = floor(n*alpha) and None
+    elsewhere; above _TABLE_CAP each call takes three exact floors instead.
     """
 
     kind = "target_beatty"
     shape = Shape.GAP_AFFINE
 
-    def gap(self, x0: int) -> Optional[int]:
+    def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
         if x0 < 0:
             return None
         try:
-            return self._table[x0]
+            g = self._table[x0]
         except IndexError:
-            return self._extend(x0)
+            g = self._extend(x0)
+        return None if g is None else g - (y1 - x1)
 
     def _exact(self, x0: int, n: int) -> Optional[int]:
         return beatty_floor(self.pair.beta, n) - x0 if beatty_floor(self.alpha, n) == x0 else None
@@ -225,10 +224,6 @@ class TargetBeatty(_BeattyRows):
         for a, b in zip(fa[k:m], fb[k:m]):
             cells[a - start] = b - a
         return cells
-
-    def value(self, x1: int, y1: int, x0: int) -> Optional[int]:
-        g = self.gap(x0)
-        return None if g is None else g - (y1 - x1)
 
 
 @dataclass(eq=True)
@@ -322,6 +317,17 @@ def is_legal_move(rules: RuleSet, origin: Position, dest: Position) -> bool:
 # -- serialization ----------------------------------------------------------------
 
 SCHEMA = "beatty-games/v1"
+
+
+def _csv_text(comment: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """A `# comment` line, then the header and the rows as CSV (None as an empty field)."""
+    buf = io.StringIO()
+    buf.write(f"# {comment}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
 
 _CONSTRAINT_KINDS = {
     "constant": Constant,

@@ -19,16 +19,15 @@ rule's skip past them:
 
     shape        modified              relaxed
     ORIGIN       covered runs          staircase
-    GAP_AFFINE   one gap call, then the least unused y >= x + max(g, 0)
+    GAP_AFFINE   one value(0, 0, x) read, then the least unused y >= x + max(f, 0)
     GENERAL      interval sweep        interval sweep
 
 * GENERAL: evaluate every orientation the row reaches and sweep the
   intervals by lower end: O(#P) evaluations per row.
-* A shaped constraint is read once per row, at f = value(0, 0, x) (ORIGIN)
-  or g = gap(x) (GAP_AFFINE), and pair (0, 0) then excludes [x, x+f-1] in
-  both families when f >= 1 (f = g for GAP_AFFINE).
-* GAP_AFFINE, f = g(x) - (d2 - d1): every interval ends at
-  c + f - 1 = x + g - 1, so none reaches past pair (0, 0)'s.
+* A shaped constraint is read once per row, at f = value(0, 0, x), and
+  pair (0, 0) then excludes [x, x+f-1] in both families when f >= 1.
+* GAP_AFFINE, value(d1, d2, x) = f - (d2 - d1): every interval ends at
+  c + f - (d2 - d1) - 1 = x + f - 1, so none reaches past pair (0, 0)'s.
 * ORIGIN, modified: the search runs in d = y - x.  Pair (0, 0)'s interval
   holds [0, f-1] and so every swapped one and every tie's.  Pair k's is
   [e_k+1-t, e_k+f-1], e_k = b_k - a_k, at age t = min(x - a_k, f): for one
@@ -101,7 +100,6 @@ the stdlib encodes in pure Python, token by token.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 from bisect import bisect_left, bisect_right
@@ -118,6 +116,7 @@ from .games import (
     Position,
     RuleSet,
     Shape,
+    _csv_text,
 )
 from .quadfield import QuadraticNumber, _running_floors, conjugate_beatty
 
@@ -322,7 +321,7 @@ def _rows(constraint: ConstraintSpec, relaxed: bool, bound: Optional[int] = None
     With a bound, rows stop at x = bound and a pair with y > bound is not
     yielded; without one the rows go on for as long as they are drawn.
     """
-    value, gap = constraint.value, constraint.gap
+    value = constraint.value
     general, origin = constraint.shape is Shape.GENERAL, constraint.shape is Shape.ORIGIN
     # Union-find over the used values: a used y points past itself, so
     # unused(y) is the least unused y' >= y.  Only the larger value of each
@@ -385,7 +384,7 @@ def _rows(constraint: ConstraintSpec, relaxed: bool, bound: Optional[int] = None
             if bound is None or y < bound:
                 dests.append((x, y))
         else:
-            f = value(0, 0, x) if origin else gap(x)
+            f = value(0, 0, x)
             if f is None:
                 y = x  # no interval; x, the mex, is unused
             elif not origin:
@@ -486,19 +485,12 @@ def _beatty_columns(alpha: QuadraticNumber, count: int):
 
 def ptable_to_csv(table: PTable, alpha: Optional[QuadraticNumber] = None) -> str:
     """CSV layout matching the P-row/Beatty-row tables, for direct diffing."""
-    buf = io.StringIO()
-    buf.write(f"# {SCHEMA} ptable source={table.source.value}\n")
-    writer = csv.writer(buf)
-    cols = CSV_COLUMNS if alpha is not None else CSV_COLUMNS[:3]
-    writer.writerow(cols)
-    extra = _beatty_columns(alpha, len(table)) if alpha is not None else None
-    for n, (a, b) in enumerate(table.pairs):
-        row: List[object] = [n, a, b]
-        if extra is not None:
-            fa, fb, d2 = extra[n]
-            row += [fa, fb, "" if d2 is None else d2]
-        writer.writerow(row)
-    return buf.getvalue()
+    comment = f"{SCHEMA} ptable source={table.source.value}"
+    if alpha is None:
+        return _csv_text(comment, CSV_COLUMNS[:3], ((n, a, b) for n, (a, b) in enumerate(table.pairs)))
+    beatty = _beatty_columns(alpha, len(table))
+    rows = ((n, a, b, *extra) for n, ((a, b), extra) in enumerate(zip(table.pairs, beatty)))
+    return _csv_text(comment, CSV_COLUMNS, rows)
 
 
 def ptable_from_csv(text: str) -> PTable:
@@ -572,13 +564,7 @@ def ptable_from_json(text: str) -> PTable:
 
 
 def positions_to_csv(positions: Set[Position]) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {SCHEMA} oracle\n")
-    writer = csv.writer(buf)
-    writer.writerow(["x", "y"])
-    for x, y in sorted(positions):
-        writer.writerow([x, y])
-    return buf.getvalue()
+    return _csv_text(f"{SCHEMA} oracle", ["x", "y"], sorted(positions))
 
 
 def positions_to_json(positions: Set[Position], bound: int) -> str:

@@ -73,6 +73,18 @@ class TestVerify:
         )
         assert code == EXIT_OK
 
+    def test_divergence_named_by_the_recurrence_index_when_b_falls(self, tmp_path):
+        # f = -6 at x0 = 2 takes b from 10 down to 5: the recurrence is
+        # (0, 0), (1, 10), (2, 5), (3, 9), (4, 13), and at bound 8 only n = 0
+        # and n = 2 are on the board.  The oracle's second pair is (2, 2).
+        path = tmp_path / "falling.json"
+        entries = [[0, 0, 1, 9], [1, 10, 2, -6], [2, 5, 3, 3], [3, 9, 4, 3]]
+        path.write_text(json.dumps({"family": "modified",
+                                    "constraint": {"kind": "table", "entries": entries}}))
+        code, out = run(["verify", "--rules", str(path), "--count", "5", "--bound", "8"])
+        assert code == EXIT_DIVERGENCE
+        assert out == "divergence at n=2: recurrence (2, 5) vs oracle (2, 2)\n"
+
 
 class TestClassify:
     def test_phi(self):
@@ -198,7 +210,7 @@ GOLDEN_CASES = {
     "oracle_parity_half_50.csv": ["oracle", "--family", "modified", "--parity-half",
                                   "--bound", "50"],
     # TargetBeatty: 200 pairs read past the 64-row first table through two
-    # doublings; the oracle reads it through `gap`, once per row.
+    # doublings; the oracle reads it at value(0, 0, x), once per row.
     "gen_target_beatty_a55_200.csv": ["gen", "--family", "modified", "--target-beatty",
                                       A55_TEXT, "--count", "200"],
     "oracle_relaxed_target_phi_60.csv": ["oracle", "--family", "relaxed", "--target-beatty",

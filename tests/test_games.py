@@ -89,7 +89,8 @@ def exact_delta(pair, x0):
 
 
 def exact_gap(pair, x0):
-    """TargetBeatty's gap at x0 by exact floors."""
+    """TargetBeatty's value(0, 0, x0), floor(n*beta) - floor(n*alpha) at
+    x0 = floor(n*alpha), by exact floors."""
     n = beatty_floor(pair.alpha.inv(), x0 + 1)
     return beatty_floor(pair.beta, n) - x0 if n >= 1 and beatty_floor(pair.alpha, n) == x0 else None
 
@@ -104,7 +105,7 @@ class TestRowTables:
     ]
     READS = [
         (BeattyDelta, lambda spec, x0: spec.value(0, 0, x0), exact_delta),
-        (TargetBeatty, TargetBeatty.gap, exact_gap),
+        (TargetBeatty, lambda spec, x0: spec.value(0, 0, x0), exact_gap),
     ]
 
     @pytest.mark.parametrize("kind, read, exact", READS)
@@ -186,12 +187,10 @@ class TestShapeContract:
                 keys = [(0, 0), (x0 - 1, x0 - 1)] + [
                     (rng.randint(0, x0 - 1), rng.randint(0, 4 * x0 + 8)) for _ in range(6)]
                 for x1, y1 in keys:
-                    if spec.shape is Shape.ORIGIN:
-                        want = spec.value(0, 0, x0)
-                    else:
-                        g = spec.gap(x0)
-                        want = None if g is None else g - (y1 - x1)
-                        defined += g is not None
+                    want = spec.value(0, 0, x0)
+                    if spec.shape is Shape.GAP_AFFINE and want is not None:
+                        want -= y1 - x1
+                        defined += 1
                     assert spec.value(x1, y1, x0) == want, (spec, x1, y1, x0)
         assert defined > 0  # TargetBeatty is undefined off its lower sequence
 

@@ -84,15 +84,13 @@ def random_table(rng, bound, origin_only):
 
 
 class FnConstraint(ConstraintSpec):
-    """Test-only constraint from any fn(x1, y1, x0), with the shape (and, when
-    gap-affine, the gap hook) as given."""
+    """Test-only constraint from any fn(x1, y1, x0), with the shape as given."""
 
     kind = "test_fn"
 
-    def __init__(self, fn, shape, gap=None):
+    def __init__(self, fn, shape):
         self.fn = fn
         self.shape = shape
-        self.gap = gap
 
     def value(self, x1, y1, x0):
         return self.fn(x1, y1, x0)
@@ -113,7 +111,7 @@ def gap_affine(gap):
         g = gap(x0)
         return None if g is None else g - (y1 - x1)
 
-    return FnConstraint(fn, Shape.GAP_AFFINE, gap)
+    return FnConstraint(fn, Shape.GAP_AFFINE)
 
 
 def random_shaped_specs(rng, k, size):
@@ -326,7 +324,7 @@ class TestDoubleMex:
                     return fn(*args)
                 return wrapped
 
-            solve_doublemex(FnConstraint(counted(spec.value), spec.shape, counted(spec.gap)), count)
+            solve_doublemex(FnConstraint(counted(spec.value), spec.shape), count)
             return made[0]
 
         for make in (lambda: TargetBeatty(A19), lambda: Constant(2), lambda: BeattyDelta(A19)):
@@ -652,20 +650,17 @@ class TestOracle:
 
     def test_evaluations_per_row(self):
         # A shaped constraint is read once per labelled row x >= 1, the rows
-        # whose x is not the larger element of an earlier P-pair; a GENERAL
-        # one once per orientation of each P-pair the row reaches.
+        # whose x is not the larger element of an earlier P-pair, at
+        # (0, 0, x); a GENERAL one once per orientation of each P-pair the
+        # row reaches.
         def counted(spec, shape):
-            calls = {"value": 0, "gap": 0}
+            calls = []
 
             def value(*args):
-                calls["value"] += 1
+                calls.append(args)
                 return spec.value(*args)
 
-            def gap(x0):
-                calls["gap"] += 1
-                return spec.gap(x0)
-
-            return FnConstraint(value, shape, gap), calls
+            return FnConstraint(value, shape), calls
 
         bound = 600
         for family in Family:
@@ -677,19 +672,16 @@ class TestOracle:
                     larger = {y for x, y in pset if x < y}
                     rows = [x for x in range(1, bound + 1) if x not in larger]
                     if shape is Shape.GENERAL:
-                        want = {"value": sum(
+                        assert len(calls) == sum(
                             sum(a < x and b < bound for a, b in pset) + sum(a < b < x for a, b in pset)
-                            for x in rows), "gap": 0}
-                    elif shape is Shape.ORIGIN:
-                        want = {"value": len(rows), "gap": 0}
+                            for x in rows), (family, spec)
                     else:
-                        want = {"value": 0, "gap": len(rows)}
-                    assert calls == want, (family, spec, shape)
+                        assert calls == [(0, 0, x) for x in rows], (family, spec)
         # The same count as one evaluation per orientation before the
         # shaped rows: 101,458 at 230 P-pairs.
         wrapped, calls = counted(Constant(1), Shape.GENERAL)
         assert len(retrograde_oracle(RuleSet(Family.MODIFIED, wrapped), 600)) == 230
-        assert calls["value"] == 101458
+        assert len(calls) == 101458
 
     def test_piled_up_used_values(self):
         # gap(x) = k - x aims rows 1..k-1 at y = k, so their values pile up
