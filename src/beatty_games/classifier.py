@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .games import SCHEMA, BeattyDelta, Family, RuleSet, _csv_text
+from .games import SCHEMA, BeattyDelta, Family, RuleSet, _csv_text, _json_object
 from .quadfield import BeattyPair, QuadraticNumber, _unit_solution, conjugate_beatty
 
 MAX_FAMILY_BOUND = 100  # largest p_max, q_max, t_max of enumerate_families
@@ -244,9 +244,7 @@ def classification_to_json(res: ClassificationResult) -> str:
 
 def classification_from_json(text: str) -> ClassificationResult:
     """Inverse of classification_to_json; a malformed structure raises ValueError."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"a classification must be a JSON object, got {data!r}")
+    data = _json_object(text, "classification")
     try:
         family = FamilyLabel(data["family"])
         rng, also = data["delta2_range"], data.get("also_matches", [])

@@ -43,9 +43,6 @@ from .quadfield import QuadraticNumber
 from .solver import (
     HypothesisError,
     MAX_ORACLE_BOUND,
-    PTable,
-    compare_tables,
-    oracle_table,
     positions_to_csv,
     positions_to_json,
     ptable_to_csv,
@@ -101,14 +98,15 @@ def _write_output(text: str, path: Optional[str], out) -> None:
             fh.write(text)
 
 
+def _solve(rules: RuleSet, count: int):
+    """The family's generator: the true P-positions, or the relaxed recurrence."""
+    solve = solve_doublemex if rules.family is Family.MODIFIED else solve_relaxed
+    return solve(rules.constraint, count)
+
+
 def _cmd_gen(args, out) -> int:
     rules = _build_rules(args)
-    if args.closed:
-        table = recurrence_closed(rules.constraint, args.count)
-    elif rules.family is Family.MODIFIED:
-        table = solve_doublemex(rules.constraint, args.count)
-    else:
-        table = solve_relaxed(rules.constraint, args.count)
+    table = recurrence_closed(rules.constraint, args.count) if args.closed else _solve(rules, args.count)
     to_text = ptable_to_json if (args.output or "").endswith(".json") else ptable_to_csv
     _write_output(to_text(table, getattr(rules.constraint, "alpha", None)), args.output, out)
     return EXIT_OK
@@ -117,7 +115,7 @@ def _cmd_gen(args, out) -> int:
 def _cmd_oracle(args, out) -> int:
     rules = _build_rules(args)
     pset = retrograde_oracle(rules, args.bound)
-    if args.output and args.output.endswith(".json"):
+    if (args.output or "").endswith(".json"):
         text = positions_to_json(pset, args.bound)
     else:
         text = positions_to_csv(pset)
@@ -128,22 +126,18 @@ def _cmd_oracle(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     rules = _build_rules(args)
     recurrence = recurrence_closed(rules.constraint, args.count)
-    pset = retrograde_oracle(rules, args.bound)
-    # The oracle cannot certify beyond its board: intersect the domains, and
-    # keep each pair's own n, since b_n can fall below an earlier pair's.
-    ns = [n for n, (_, b) in enumerate(recurrence.pairs) if b <= args.bound]
-    trimmed = tuple([recurrence.pairs[n] for n in ns])
-    recurrence = PTable(trimmed, recurrence.source)
-    truth = oracle_table(pset, limit=len(trimmed))
-    index = compare_tables(recurrence, truth)
-    if index is None:
-        out.write(f"match: closed recurrence equals oracle on {len(trimmed)} pairs\n")
-        return EXIT_OK
-    out.write(
-        f"divergence at n={ns[index]}: recurrence {recurrence.pairs[index]} "
-        f"vs oracle {truth.pairs[index]}\n"
-    )
-    return EXIT_DIVERGENCE
+    rows = dict(retrograde_oracle(rules, args.bound))  # row x: its P-position's y <= bound
+    matched = 0
+    for n, (a, b) in enumerate(recurrence.pairs):
+        y = rows.get(a)
+        if y == b:
+            matched += 1
+        elif y is not None or b <= args.bound:  # else both sides leave row a off the board
+            oracle = f" ({a}, {y})" if y is not None else f": no P-position in row {a} with y <= {args.bound}"
+            out.write(f"divergence at n={n}: recurrence {(a, b)} vs oracle{oracle}\n")
+            return EXIT_DIVERGENCE
+    out.write(f"match: closed recurrence equals oracle on {matched} pairs\n")
+    return EXIT_OK
 
 
 def _cmd_classify(args, out) -> int:
@@ -159,10 +153,7 @@ def _cmd_classify(args, out) -> int:
 def _cmd_inverse(args, out) -> int:
     alpha = QuadraticNumber.from_string(args.alpha)
     rules, constraint = inverse_solve(alpha)
-    if rules.family is Family.MODIFIED:
-        table = solve_doublemex(constraint, args.count)
-    else:
-        table = solve_relaxed(constraint, args.count)
+    table = _solve(rules, args.count)
     out.write(ruleset_to_json(rules) + "\n")
     out.write("n,a_n,b_n,floor_n_alpha,floor_n_beta\n")
     for n, ((a, b), fa, fb) in enumerate(zip(table.pairs, *constraint.pair._floors(len(table)))):

@@ -319,6 +319,17 @@ def is_legal_move(rules: RuleSet, origin: Position, dest: Position) -> bool:
 SCHEMA = "beatty-games/v1"
 
 
+def _json_object(text: str, what: str) -> dict:
+    """The JSON object `text` holds; any malformed text raises ValueError, never RecursionError."""
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"malformed {what}: JSON nested too deeply") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed {what}: must be a JSON object, got {type(data).__name__}")
+    return data
+
+
 def _csv_text(comment: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """A `# comment` line, then the header and the rows as CSV (None as an empty field)."""
     buf = io.StringIO()
@@ -330,11 +341,7 @@ def _csv_text(comment: str, header: Sequence[str], rows: Iterable[Sequence[objec
 
 
 _CONSTRAINT_KINDS = {
-    "constant": Constant,
-    "beatty": BeattyDelta,
-    "target_beatty": TargetBeatty,
-    "parity_half": ParityHalf,
-    "table": ExplicitTable,
+    cls.kind: cls for cls in (Constant, BeattyDelta, TargetBeatty, ParityHalf, ExplicitTable)
 }
 
 
@@ -383,7 +390,5 @@ def ruleset_to_json(rules: RuleSet) -> str:
 
 def ruleset_from_json(text: str) -> RuleSet:
     """Inverse of ruleset_to_json; any malformed input raises ValueError."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"a ruleset must be a JSON object, got {data!r}")
+    data = _json_object(text, "ruleset")
     return RuleSet(Family(data.get("family")), constraint_from_dict(data.get("constraint")))

@@ -87,7 +87,7 @@ and in recurrence_closed, where a negative f can push b_n below a_n.  The
 other paths keep them by construction: a_n is the mex; the rows pick
 b_n >= a_n among unused values; under f >= 0 the relaxed b_n strictly
 increases and b_n >= a_n + f; oracle_table sorts canonical P-positions, (0, 0)
-among them, with distinct smaller piles; cli's verify keeps a subsequence.
+among them, with distinct smaller piles.
 Tables are built in a list and made a tuple once: a tuple grown from an
 iterator is re-tracked on each resize, so every young collection would
 rescan it.
@@ -117,6 +117,7 @@ from .games import (
     RuleSet,
     Shape,
     _csv_text,
+    _json_object,
 )
 from .quadfield import QuadraticNumber, _running_floors, conjugate_beatty
 
@@ -505,14 +506,17 @@ def ptable_from_csv(text: str) -> PTable:
         elif line.strip():
             body.append(line)
     reader = csv.reader(body)
-    header = next(reader, None)
-    if header is None or header[:3] != CSV_COLUMNS[:3]:
-        raise ValueError(f"unexpected CSV header: {header}")
-    pairs = []
-    for row in reader:
-        if len(row) < 3:
-            raise ValueError(f"short CSV row: {row}")
-        pairs.append((int(row[1]), int(row[2])))
+    try:
+        header = next(reader, None)
+        if header is None or header[:3] != CSV_COLUMNS[:3]:
+            raise ValueError(f"unexpected CSV header: {header}")
+        pairs = []
+        for row in reader:
+            if len(row) < 3:
+                raise ValueError(f"short CSV row: {row}")
+            pairs.append((int(row[1]), int(row[2])))
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from exc
     return _checked_table(tuple(pairs), source)
 
 
@@ -552,11 +556,11 @@ def ptable_to_json(table: PTable, alpha: Optional[QuadraticNumber] = None) -> st
 
 def ptable_from_json(text: str) -> PTable:
     """Inverse of ptable_to_json; a malformed structure raises ValueError."""
-    data = json.loads(text)
+    data = _json_object(text, "ptable")
     try:
         pairs = tuple([(a, b) for a, b in data["pairs"]])
         source = TableSource(data["source"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed ptable: {exc}") from exc
     if any(type(x) is not int for pair in pairs for x in pair):  # JSON true/false are bools
         raise ValueError("malformed ptable: pair entries must be integers")
@@ -576,7 +580,7 @@ def positions_to_json(positions: Set[Position], bound: int) -> str:
     ])
 
 
-def oracle_table(positions: Set[Position], limit: Optional[int] = None) -> PTable:
+def oracle_table(positions: Set[Position]) -> PTable:
     """Sort an oracle P-set into table form (P-pairs have distinct smaller piles)."""
-    pairs = tuple([(int(x), int(y)) for x, y in sorted(positions)[:limit]])
+    pairs = tuple([(int(x), int(y)) for x, y in sorted(positions)])
     return PTable(pairs, TableSource.ORACLE)

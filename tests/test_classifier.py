@@ -284,6 +284,7 @@ class TestSerialization:
     @pytest.mark.parametrize("text, message", [
         ("{}", "malformed classification: 'family'"),
         ("[1]", "must be a JSON object"),
+        pytest.param("[" * 200_000, "malformed classification: JSON nested too deeply", id="nested"),
         ('{"family": "I", "delta2_range": 5}', "malformed classification"),
     ])
     def test_malformed_json_is_a_value_error(self, text, message):

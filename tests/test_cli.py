@@ -26,6 +26,8 @@ from beatty_games.cli import (
 from beatty_games.games import (
     BeattyDelta,
     Constant,
+    ConstraintSpec,
+    ExplicitTable,
     Family,
     ParityHalf,
     Position,
@@ -34,9 +36,17 @@ from beatty_games.games import (
     is_legal_move,
     legal_moves,
     ruleset_from_json,
+    ruleset_to_json,
 )
 from beatty_games.quadfield import QuadraticNumber
-from beatty_games.solver import MAX_ORACLE_BOUND, MAX_ROW_RULE_COUNT, ptable_from_csv, ptable_from_json, retrograde_oracle
+from beatty_games.solver import (
+    MAX_ORACLE_BOUND,
+    MAX_ROW_RULE_COUNT,
+    ptable_from_csv,
+    ptable_from_json,
+    recurrence_closed,
+    retrograde_oracle,
+)
 
 A55_TEXT = "(5+1*sqrt(5))/5"
 PHI_TEXT = "(1+1*sqrt(5))/2"
@@ -84,6 +94,77 @@ class TestVerify:
         code, out = run(["verify", "--rules", str(path), "--count", "5", "--bound", "8"])
         assert code == EXIT_DIVERGENCE
         assert out == "divergence at n=2: recurrence (2, 5) vs oracle (2, 2)\n"
+
+    def test_pair_the_oracle_refutes_on_the_board_is_a_divergence(self, tmp_path):
+        # The recurrence is (0, 0), (1, 1), (2, 2), (3, 4).  (2, 2) is not a
+        # P-position: taking 2 from each pile reaches (0, 0), as |2 - 2| <
+        # f(0, 0, 2) = 2.  Row 2 has no P-position with y <= 3.
+        entries = [[0, 0, 1, 0], [0, 0, 2, 2], [1, 1, 2, 0], [1, 1, 3, 3], [2, 2, 3, 1]]
+        path = _rules_file(tmp_path, "modified", entries)
+        code, out = run(["verify", "--rules", str(path), "--count", "4", "--bound", "3"])
+        assert (code, out) == (EXIT_DIVERGENCE,
+            "divergence at n=2: recurrence (2, 2) vs oracle: no P-position in row 2 with y <= 3\n")
+
+    def test_off_board_pair_in_a_row_the_oracle_fills_is_a_divergence(self, tmp_path):
+        # The recurrence is (0, 0), (1, 3), (2, 9); (2, 9) lies off the board,
+        # but row 2 holds the P-position (2, 2), with f undefined at every
+        # diagonal move from it.
+        path = _rules_file(tmp_path, "modified", [[0, 0, 1, 2], [1, 3, 2, 5]])
+        code, out = run(["verify", "--rules", str(path), "--count", "3", "--bound", "5"])
+        assert (code, out) == (EXIT_DIVERGENCE, "divergence at n=2: recurrence (2, 9) vs oracle (2, 2)\n")
+
+    def test_verdict_matches_a_reference_on_random_tables(self, tmp_path):
+        # The reference reads the P-set of a larger board as a set, and counts
+        # only the pairs the small board decides: b_n <= bound, or row a_n's
+        # P-position has y <= bound.
+        rng = random.Random(3)
+        checked = 0
+        for i in range(400):
+            rules, count, bound = _random_table_rules(rng)
+            try:
+                pairs = recurrence_closed(rules.constraint, count).pairs
+            except ValueError:
+                continue  # the closed recurrence refuses the table (b_n < a_n)
+            big = retrograde_oracle(rules, min(4 * bound, MAX_ORACLE_BOUND))
+            rows_on_board = {x for x, y in big if y <= bound}
+            expect = next((n for n, (a, b) in enumerate(pairs)
+                           if a <= bound and (b <= bound or a in rows_on_board) and (a, b) not in big), None)
+            path = tmp_path / f"rules{i}.json"
+            path.write_text(ruleset_to_json(rules))
+            code, out = run(["verify", "--rules", str(path), "--count", str(count), "--bound", str(bound)])
+            if expect is None:
+                assert code == EXIT_OK and out.startswith("match"), (rules, count, bound, out)
+            else:
+                assert code == EXIT_DIVERGENCE, (rules, count, bound, out)
+                assert out.startswith(f"divergence at n={expect}: recurrence {pairs[expect]} vs oracle"), out
+            checked += 1
+        assert checked >= 300
+
+
+def _rules_file(tmp_path, family, entries):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"family": family, "constraint": {"kind": "table", "entries": entries}}))
+    return path
+
+
+def _random_table_rules(rng):
+    """A random ExplicitTable ruleset, a count and a bound in [2, 16].  The
+    table holds random entries plus a drawn f at every key the closed
+    recurrence reads, so the recurrence runs unless b_n falls below a_n."""
+    bound = rng.randint(2, 16)
+    values = {}
+    for _ in range(rng.randrange(4 * bound)):
+        x0 = rng.randint(1, bound)
+        values[rng.randint(0, x0), rng.randint(0, 2 * bound), x0] = rng.randint(-1, 4)
+
+    class Drawing(ConstraintSpec):
+        def value(self, x1, y1, x0):
+            return values.setdefault((x1, y1, x0), rng.randint(-1, 4))
+
+    count = rng.randint(1, bound + 2)
+    with contextlib.suppress(ValueError):
+        recurrence_closed(Drawing(), count)
+    return RuleSet(rng.choice(list(Family)), ExplicitTable(values)), count, bound
 
 
 class TestClassify:
@@ -361,6 +442,18 @@ class TestRulesFile:
         path.write_text(json.dumps(data))
         code, _ = run(["gen", "--rules", str(path), "--count", "5"])
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--count", "3"],
+        ["oracle", "--bound", "10"],
+        ["verify", "--count", "5", "--bound", "12"],
+        ["play", "--start", "4", "6"],
+    ])
+    def test_deeply_nested_rules_exit_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "rules.json"
+        path.write_text("[" * 10**5)
+        assert run([*argv, "--rules", str(path)]) == (EXIT_PARSE, "")
+        assert capsys.readouterr() == ("", "error: malformed ruleset: JSON nested too deeply\n")
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--count", "3"],

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -314,6 +315,14 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             constraint_from_dict({"kind": "mystery"})
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[" * 200_000, "malformed ruleset: JSON nested too deeply", id="nested"),
+        ("[1, 2]", "malformed ruleset: must be a JSON object, got list"),
+    ])
+    def test_malformed_ruleset_text_is_a_value_error(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ruleset_from_json(text)
 
 
 class TestCanonical:

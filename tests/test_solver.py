@@ -919,6 +919,10 @@ class TestSerialization:
         '{"pairs": [[0, 0], [1.7, 3]], "source": "oracle"}',
         '{"pairs": [[0, 0], ["1", 3]], "source": "oracle"}',
         '{"pairs": [[0, 0], [1, true]], "source": "oracle"}',
+        # a pair of three values, an unknown source, nesting past the parser's depth
+        '{"pairs": [[0, 0, 0]], "source": "oracle"}',
+        '{"pairs": [[0, 0]], "source": "guess"}',
+        pytest.param("[" * 200_000, id="nested"),
     ])
     def test_malformed_json_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="malformed ptable"):
@@ -927,6 +931,7 @@ class TestSerialization:
     @pytest.mark.parametrize("text, message", [
         ("", "unexpected CSV header: None"),
         ("n,a_n,b_n\n0,0,0\n1,2\n", "short CSV row"),
+        pytest.param("n,a_n,b_n\n0,0," + "1" * 200_000 + "\n", "malformed CSV: field larger", id="long-field"),
     ])
     def test_malformed_csv_is_a_value_error(self, text, message):
         with pytest.raises(ValueError, match=message):
