@@ -50,6 +50,7 @@ from beatty_games.solver import (
 
 A55_TEXT = "(5+1*sqrt(5))/5"
 PHI_TEXT = "(1+1*sqrt(5))/2"
+A19_TEXT = "(-3+1*sqrt(19))/1"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -281,6 +282,10 @@ GOLDEN_CASES = {
     # Pairs other than (0, 0) that are younger than f decide this table from
     # row 2 on: without their intervals row 2 would be (2, 4), not (2, 6).
     "gen_beatty_a55_300.csv": ["gen", "--beatty", A55_TEXT, "--count", "300"],
+    # The modified game on a compatible slope (Family II) and on Fraenkel's
+    # constant: the rows are the Beatty rows, and (a_n, a_n + 2n).
+    "gen_beatty_a19_300.csv": ["gen", "--beatty", A19_TEXT, "--count", "300"],
+    "gen_constant2_300.csv": ["gen", "--constant", "2", "--count", "300"],
     "gen_parity_half_50.csv": ["gen", "--family", "modified", "--parity-half", "--count", "50"],
     "inverse_a55.txt": ["inverse", "--alpha", A55_TEXT, "--count", "10"],
     "classify_phi.txt": ["classify", "--alpha", PHI_TEXT],
