@@ -495,22 +495,6 @@ def conjugate_beatty(alpha: QuadraticNumber) -> BeattyPair:
     return pair
 
 
-def beatty_membership(gamma: QuadraticNumber, n: int) -> bool:
-    """True iff n appears in the sequence {floor(m * gamma) : m >= 0}.
-
-    Candidate-index test: the only m that can work is ceil(n / gamma), so one
-    exact floor confirms or refutes membership in O(1) big-integer work.
-    """
-    if gamma.q == 0 or not gamma > 1:
-        raise ValueError("gamma must be an irrational greater than 1")
-    if n < 0:
-        return False
-    if n == 0:
-        return True
-    m = beatty_floor(gamma.inv(), n) + 1  # ceil(n/gamma); n/gamma is irrational
-    return beatty_floor(gamma, m) == n
-
-
 def delta2(alpha: QuadraticNumber, n: int) -> int:
     """Second difference (floor(n*beta)-floor((n-1)*beta)) - (floor(n*alpha)-floor((n-1)*alpha)).
 

@@ -86,8 +86,7 @@ break them: in the two parsers, whose pairs come from outside the program,
 and in recurrence_closed, where a negative f can push b_n below a_n.  The
 other paths keep them by construction: a_n is the mex; the rows pick
 b_n >= a_n among unused values; under f >= 0 the relaxed b_n strictly
-increases and b_n >= a_n + f; oracle_table sorts canonical P-positions, (0, 0)
-among them, with distinct smaller piles.
+increases and b_n >= a_n + f.
 Tables are built in a list and made a tuple once: a tuple grown from an
 iterator is re-tracked on each resize, so every young collection would
 rescan it.
@@ -422,14 +421,6 @@ def _rows(constraint: ConstraintSpec, relaxed: bool, bound: Optional[int] = None
             yield x, y
 
 
-def compare_tables(t1: PTable, t2: PTable) -> Optional[int]:
-    """Least index where the tables disagree on their common prefix, else None."""
-    for n in range(min(len(t1), len(t2))):
-        if t1.pairs[n] != t2.pairs[n]:
-            return n
-    return None
-
-
 @dataclass(frozen=True)
 class GapReport:
     """A positive gap between consecutive exclusion intervals I_{k-1} and I_k.
@@ -578,9 +569,3 @@ def positions_to_json(positions: Set[Position], bound: int) -> str:
         ("bound", bound, None),
         ("positions", sorted(positions), _PAIR_ROW),
     ])
-
-
-def oracle_table(positions: Set[Position]) -> PTable:
-    """Sort an oracle P-set into table form (P-pairs have distinct smaller piles)."""
-    pairs = tuple([(int(x), int(y)) for x, y in sorted(positions)])
-    return PTable(pairs, TableSource.ORACLE)

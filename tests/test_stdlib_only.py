@@ -1,8 +1,9 @@
 """The runtime is stdlib-only and exact: every source file of the package is
 scanned for imports from outside the standard library, for floats and for
 configuration read from the environment.  It is also scanned for imports it
-no longer reads, and the package must export exactly the names its __init__
-imports."""
+no longer reads, the package must export exactly the names its __init__
+imports, and each exported name must be read somewhere in the package or the
+benchmark."""
 
 import ast
 import sys
@@ -12,7 +13,8 @@ import pytest
 
 import beatty_games
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "beatty_games"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "beatty_games"
 # Inexact math, and configuration read from the environment.
 FORBIDDEN_NAMES = {"math": {"sqrt", "floor"}, "os": {"environ", "getenv"}}
 
@@ -127,6 +129,26 @@ def test_package_exports_exactly_what_init_imports():
         for alias in node.names
     ]
     assert sorted(imported) == sorted(beatty_games.__all__)
+
+
+def names_read(source: str):
+    """Every name the source loads, and every attribute it names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_exported_name_is_read_by_a_program():
+    # A public name that neither the package's own modules nor the benchmark
+    # reads is dead weight; tests alone do not keep it.
+    files = [f for f in PACKAGE.glob("*.py") if f.name != "__init__.py"]
+    files += list((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*(names_read(f.read_text()) for f in files))
+    assert sorted(set(beatty_games.__all__) - read) == []
 
 
 @pytest.mark.parametrize("source, unused", [
