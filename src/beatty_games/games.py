@@ -56,9 +56,10 @@ class ConstraintSpec:
     ``value(x1, y1, x0)`` evaluates the bound for a move from a position with
     smaller pile x0 to the physical destination (x1, y1).  ``None`` means the
     diagonal move is disallowed outright.  ``shape`` says what the value
-    depends on: ``ORIGIN``, x0 alone (the shape the relaxed recurrence
-    requires); ``GAP_AFFINE``, ``value(0, 0, x0) - (y1 - x1)``, ``None``
-    wherever ``value(0, 0, x0)`` is; ``GENERAL``, anything else.
+    depends on: ``ORIGIN``, x0 alone; ``GAP_AFFINE``,
+    ``value(0, 0, x0) - (y1 - x1)``, ``None`` wherever ``value(0, 0, x0)``
+    is; ``GENERAL``, anything else.  The shape picks the row rule of the
+    oracle and ``solve_doublemex``; both recurrences run on every shape.
     """
 
     kind: str = ""

@@ -6,6 +6,7 @@ lines; every expected value is exact and every stated time budget is asserted.
 
 import random
 import time
+from itertools import islice
 from math import isqrt
 
 from beatty_games.classifier import (
@@ -35,6 +36,8 @@ from beatty_games.quadfield import (
 from beatty_games.solver import (
     PTable,
     TableSource,
+    _rows,
+    detect_gap,
     recurrence_closed,
     retrograde_oracle,
     solve_doublemex,
@@ -185,14 +188,26 @@ def test_criterion_6_classifier_fixtures():
 
 def test_criterion_7_inequality_iff_beatty():
     def body():
-        entries = enumerate_families(6, 6, 6)
-        candidates = [(alpha, res.compatible) for alpha, res in entries]
-        candidates += [(alpha, False) for alpha in INCOMPATIBLE_FIXTURES]
-        for alpha, compatible in candidates:
-            table = solve_doublemex(BeattyDelta(alpha), 300)
-            agrees = table.pairs == beatty_table(alpha, 300).pairs
-            assert agrees == compatible, f"mismatch for alpha = {alpha}"
-        # 300 pairs would call these "Beatty": the divergence row is exact.
+        # The (6, 6, 6) box at 10^4 pairs: the modified game keeps the Beatty
+        # rows iff the slope is compatible, and relaxed Wythoff's rows through
+        # the staircase keep them on every slope.
+        count = 10**4
+        for alpha, res in enumerate_families(6, 6, 6):
+            beatty = recurrence_closed(BeattyDelta(alpha), count).pairs
+            agrees = solve_doublemex(BeattyDelta(alpha), count).pairs == beatty
+            assert agrees == res.compatible, f"mismatch for alpha = {alpha}"
+            assert tuple(islice(_rows(BeattyDelta(alpha), True), count)) == beatty, alpha
+        # An incompatible slope leaves the Beatty rows exactly at its first
+        # unfilled gap.  detect_gap(alpha, n) holds every report of rows <= n,
+        # so at the divergence row n it decides whether that gap is at n.
+        for alpha in (*INCOMPATIBLE_FIXTURES, LATE_DIVERGENCE[0][0]):
+            assert not classify_alpha(alpha).compatible, alpha
+            table = solve_doublemex(BeattyDelta(alpha), 1000)
+            n = first_difference(table, recurrence_closed(BeattyDelta(alpha), 1000))
+            assert n is not None, alpha
+            assert next((report.n for report in detect_gap(alpha, n) if not report.filled), None) == n, alpha
+        # 300 pairs would call these "Beatty"; the second diverges past
+        # MAX_HORIZON, so its row is pinned.
         for alpha, d2_range, n in LATE_DIVERGENCE:
             res = classify_alpha(alpha)
             assert not res.compatible and res.delta2_range == d2_range, alpha

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -226,9 +227,10 @@ class TestGen:
         table = ptable_from_json(path.read_text())
         assert table.pairs[:3] == ((0, 0), (1, 3), (2, 6))
 
-    def test_hypothesis_violation_exit_code(self):
-        code, _ = run(["gen", "--family", "relaxed", "--parity-half", "--count", "5"])
-        assert code == EXIT_HYPOTHESIS
+    def test_hypothesis_violation_exit_code(self, capsys):
+        assert run(["gen", "--family", "relaxed", "--parity-half", "--count", "5"]) == (EXIT_HYPOTHESIS, "")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("hypothesis violation: ") and err.count("\n") == 1, err
 
     def test_missing_constraint(self):
         code, _ = run(["gen", "--family", "modified", "--count", "5"])
@@ -345,30 +347,75 @@ GOLDEN_PLAYED = {
 }
 
 
-def check_golden(name, tmp_path):
-    """Run the CLI case behind one golden file and compare the bytes."""
+def golden_command(name, path):
+    """(argv, stdin text, exit code) of the CLI case behind one golden file;
+    a GOLDEN_WRITTEN case writes its bytes to `path`."""
+    if name in GOLDEN_PLAYED:
+        return (*GOLDEN_PLAYED[name], EXIT_OK)
     if name in GOLDEN_WRITTEN:
-        path = tmp_path / name
-        assert run(GOLDEN_WRITTEN[name] + ["--output", str(path)]) == (EXIT_OK, ""), name
-        assert path.read_bytes() == (GOLDEN / name).read_bytes(), name
-    elif name in GOLDEN_PLAYED:
-        argv, typed = GOLDEN_PLAYED[name]
+        return [*GOLDEN_WRITTEN[name], "--output", str(path)], "", EXIT_OK
+    return GOLDEN_CASES[name], "", EXIT_DIVERGENCE if name == "verify_a55.txt" else EXIT_OK
+
+
+def check_golden(name, tmp_path):
+    """Run the CLI case behind one golden file in this process and compare the bytes."""
+    path = tmp_path / name
+    argv, typed, code = golden_command(name, path)
+    if name in GOLDEN_PLAYED:  # play writes through print and input, to sys.stdout
         stdin, sys.stdin = sys.stdin, io.StringIO(typed)
         try:
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                assert main(argv) == EXIT_OK, name
+            with contextlib.redirect_stdout(io.StringIO()) as buf:
+                got = main(argv), buf.getvalue()
         finally:
             sys.stdin = stdin
-        assert out.getvalue().encode() == (GOLDEN / name).read_bytes(), name
     else:
-        code, out = run(GOLDEN_CASES[name])
-        assert code == (EXIT_DIVERGENCE if name == "verify_a55.txt" else EXIT_OK), name
-        assert out.encode() == (GOLDEN / name).read_bytes(), name
+        got = run(argv)
+    golden = (GOLDEN / name).read_bytes()
+    if name in GOLDEN_WRITTEN:
+        assert got == (code, "") and path.read_bytes() == golden, name
+    else:
+        assert (got[0], got[1].encode()) == (code, golden), name
 
 
 def test_golden_outputs_are_byte_exact(tmp_path):
     for name in [*GOLDEN_CASES, *GOLDEN_WRITTEN, *GOLDEN_PLAYED]:
         check_golden(name, tmp_path)
+
+
+# The launcher's other exit codes, one command each: (argv, exit code, stderr prefix).
+REFUSED = {
+    "row_rule_cap": (["gen", "--family", "modified", "--parity-half", "--count", "2049"],
+                     EXIT_PARSE, "error: "),
+    "hypothesis_violation": (["gen", "--family", "relaxed", "--parity-half", "--count", "5"],
+                             EXIT_HYPOTHESIS, "hypothesis violation: "),
+}
+
+
+@pytest.mark.parametrize("launcher", ["python-m", "beatty-games"])
+@pytest.mark.parametrize("name", [*GOLDEN_CASES, *GOLDEN_WRITTEN, *GOLDEN_PLAYED, *REFUSED])
+def test_golden_through_a_process(launcher, name, tmp_path):
+    """Every golden case, and one refusal per other exit code, as a process:
+    through `python -m`, and through the installed console script when it is
+    on PATH.  Played moves come through a pipe, so `input` writes its prompts
+    to stdout; a GOLDEN_WRITTEN case writes to a file in tmp_path."""
+    command = ([sys.executable, "-m", "beatty_games.cli"] if launcher == "python-m"
+               else [shutil.which("beatty-games") or pytest.skip("beatty-games is not on PATH")])
+    path = tmp_path / name
+    if name in REFUSED:
+        (argv, code, prefix), typed = REFUSED[name], ""
+    else:
+        argv, typed, code = golden_command(name, path)
+    proc = subprocess.run([*command, *argv], input=typed.encode(), capture_output=True)
+    assert proc.returncode == code, proc.stderr
+    if name in REFUSED:
+        lines = proc.stderr.decode().splitlines(keepends=True)
+        assert proc.stdout == b"" and len(lines) == 1 and lines[0].startswith(prefix), proc
+        assert lines[0].endswith("\n"), proc.stderr
+    elif name in GOLDEN_WRITTEN:
+        assert (proc.stdout, proc.stderr) == (b"", b"")
+        assert path.read_bytes() == (GOLDEN / name).read_bytes()
+    else:
+        assert (proc.stdout, proc.stderr) == ((GOLDEN / name).read_bytes(), b"")
 
 
 def test_repeated_calls_share_no_state(tmp_path):
@@ -459,6 +506,14 @@ class TestRulesFile:
         path.write_text("[" * 10**5)
         assert run([*argv, "--rules", str(path)]) == (EXIT_PARSE, "")
         assert capsys.readouterr() == ("", "error: malformed ruleset: JSON nested too deeply\n")
+
+    def test_strict_table_without_an_entry_exits_two(self, tmp_path, capsys):
+        # str() of a KeyError is the repr of its message; main prints the message
+        path = tmp_path / "rules.json"
+        path.write_text('{"family": "modified", "constraint": '
+                        '{"kind": "table", "entries": [[0,0,1,1]], "strict": true}}')
+        assert run(["oracle", "--rules", str(path), "--bound", "3"]) == (EXIT_PARSE, "")
+        assert capsys.readouterr() == ("", "error: constraint table has no entry for (0, 0, 3)\n")
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--count", "3"],
@@ -745,26 +800,6 @@ class TestPlay:
                     if winning:
                         assert engine == min(winning), (rules, pos, engine)
                     pos = engine
-
-
-class TestEntryPoint:
-    def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "beatty_games.cli", "classify", "--alpha", PHI_TEXT],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert "Family I" in proc.stdout
-
-    def test_play_golden_through_a_pipe(self):
-        # Through a pipe `input` writes the prompts to stdout, so they are part of the golden.
-        proc = subprocess.run(
-            [sys.executable, "-m", "beatty_games.cli", "play", "--family", "modified",
-             "--constant", "1", "--start", "5", "8"],
-            input=b"quit\n", capture_output=True,
-        )
-        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
-        assert proc.stdout == (GOLDEN / "play_constant1_5_8.txt").read_bytes()
 
 
 # -- fuzz ---------------------------------------------------------------------------

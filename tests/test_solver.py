@@ -622,15 +622,16 @@ class TestOracle:
             assert truth == expect, f"oracle mismatch for {spec}"
 
     def test_equals_relaxed_recurrence(self):
-        bound = 80
+        # No recurrence reads the shape: both also run on TargetBeatty (GAP_AFFINE).
+        bound = 600
         specs = [Constant(t) for t in range(1, 6)]
-        specs += [BeattyDelta(a) for a in (A55, A19, PHI, SQRT2)]
+        specs += [cls(a) for a in (A55, A19, PHI, SQRT2) for cls in (BeattyDelta, TargetBeatty)]
         for spec in specs:
             rules = RuleSet(Family.RELAXED, spec)
             truth = retrograde_oracle(rules, bound)
-            table = solve_relaxed(spec, 80)
-            expect = {Position(a, b) for a, b in table.pairs if b <= bound}
-            assert truth == expect, f"relaxed oracle mismatch for {spec}"
+            for table in (solve_relaxed(spec, bound), recurrence_closed(spec, bound)):
+                expect = {Position(a, b) for a, b in table.pairs if b <= bound}
+                assert truth == expect, f"relaxed oracle mismatch for {spec} ({table.source})"
 
     def test_equals_naive_search(self):
         specs = [Constant(t) for t in (1, 2, 3)] + [ParityHalf()]
