@@ -45,11 +45,12 @@ rule's skip past them:
   dominates, two sorted lists.  y only rises in the search, and b_n can
   fall below b_{n-1} when f falls.
 
-Memory is O(#P) on every path.  retrograde_oracle and solve_doublemex both
-run these rows, so on a shaped constraint the oracle and the generator
-share code.  Two references read no shape: the GENERAL rows of a shaped
-constraint (wrapped as GENERAL) and a naive search over legal_moves; the
-tests hold every shaped rule to both.
+Memory is O(#P) on every path.  retrograde_oracle always runs these rows;
+solve_doublemex runs them too, except in its two theorem cases (below),
+where the oracle is its check.  So on a shaped constraint outside those
+cases the oracle and the generator share code.  Two references read no
+shape: the GENERAL rows of a shaped constraint (wrapped as GENERAL) and a
+naive search over legal_moves; the tests hold every shaped rule to both.
 
 Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
 
@@ -57,8 +58,13 @@ Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
   the closed formula that is only guaranteed when consecutive exclusion
   intervals leave no gaps (2*min f - max f >= 1).
 * solve_doublemex    — the true P-positions of the modified game: the first
-  `count` rows.  MAX_COUNT caps every generator, and MAX_ROW_RULE_COUNT the
-  GENERAL rows, whose time grows as count^2.
+  `count` rows.  Two theorems give them as the Beatty rows, which it spells
+  from the step words as the recurrences do: Fraenkel's for Constant(t),
+  (floor(n*alpha_t), floor(n*alpha_t) + t*n), and the paper's sufficiency
+  theorem for a BeattyDelta whose slope meets 2*min delta2 - max delta2 >= 1
+  (`classifier._classify`, in exact integers).  MAX_COUNT caps every
+  generator, and MAX_ROW_RULE_COUNT the GENERAL rows, whose time grows as
+  count^2.
 * solve_relaxed      — the closed formula again, for relaxed Wythoff.  Its
   checks require f >= 0 and f >= 1 at the first step; that is not enough
   (f = 3, 2, 3, 2, 3, 3, 3, 3, 1, ... gives (9, 27) where the P-position
@@ -83,10 +89,11 @@ Table rules: a table starts at (0, 0), its a_n strictly increase, a_n <= b_n,
 and a DOUBLE_MEX or RELAXED_RECURRENCE table uses no value twice (a tie
 a_n = b_n uses it once).  `_checked_table` checks them only where a table can
 break them: in the two parsers, whose pairs come from outside the program,
-and in recurrence_closed, where a negative f can push b_n below a_n.  The
-other paths keep them by construction: a_n is the mex; the rows pick
-b_n >= a_n among unused values; under f >= 0 the relaxed b_n strictly
-increases and b_n >= a_n + f.
+and on recurrence_closed's loop path, where a negative f can push b_n below
+a_n.  The other paths keep them by construction: a_n is the mex; the rows
+pick b_n >= a_n among unused values; the step words spell Beatty rows
+(Beatty's theorem); under f >= 0 the relaxed b_n strictly increases and
+b_n >= a_n + f.
 Tables are built in a list and made a tuple once: a tuple grown from an
 iterator is re-tracked on each resize, so every young collection would
 rescan it.
@@ -108,8 +115,11 @@ from enum import Enum
 from operator import sub
 from typing import Dict, List, Optional, Set, Tuple
 
+from .classifier import _classify
 from .games import (
     SCHEMA,
+    BeattyDelta,
+    Constant,
     ConstraintSpec,
     Family,
     Position,
@@ -175,19 +185,27 @@ def _checked_table(pairs: Tuple[Tuple[int, int], ...], source: TableSource) -> P
 def recurrence_closed(constraint: ConstraintSpec, count: int) -> PTable:
     """First `count` pairs of the closed recurrence, whether or not they are P:
     on BeattyDelta and Constant, the slope's Beatty rows (module docstring)."""
-    return _checked_table(_recurrence(constraint, count, False), TableSource.CLOSED_RECURRENCE)
+    return _recurrence(constraint, count, TableSource.CLOSED_RECURRENCE)
 
 
 def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     """True P-positions of the modified game: the first `count` rows.
 
-    b_n is the least b >= a_n distinct from every prior b_k and outside the
-    intervals of the module docstring's row rule, found by the rule of the
-    constraint's shape.  `count` must be in [1, MAX_COUNT], as for every
-    generator here, and in [1, MAX_ROW_RULE_COUNT] for a GENERAL constraint,
-    whose rows cost O(count) evaluations each, O(count^2) in all.  Every
-    path holds O(count) memory, however far b_n runs ahead of a_n.
+    On Constant(t) (Fraenkel's theorem) and on a BeattyDelta whose slope is
+    compatible (the paper's sufficiency theorem, decided by
+    `classifier._classify`) these are the slope's Beatty rows, spelled from
+    the step words as the recurrences spell them.  Elsewhere b_n is the least
+    b >= a_n distinct from every prior b_k and outside the intervals of the
+    module docstring's row rule, found by the rule of the constraint's shape.
+    `count` must be in [1, MAX_COUNT], as for every generator here, and in
+    [1, MAX_ROW_RULE_COUNT] for a GENERAL constraint, whose rows cost
+    O(count) evaluations each, O(count^2) in all.  Every path holds
+    O(count) memory, however far b_n runs ahead of a_n.
     """
+    if isinstance(constraint, Constant) or (
+        isinstance(constraint, BeattyDelta) and _classify(constraint.pair).compatible
+    ):
+        return _recurrence(constraint, count, TableSource.DOUBLE_MEX)
     _check_count(count)
     if constraint.shape is Shape.GENERAL and count > MAX_ROW_RULE_COUNT:
         raise ValueError(f"count {count} exceeds the cap {MAX_ROW_RULE_COUNT} for a GENERAL constraint")
@@ -253,19 +271,22 @@ def solve_relaxed(constraint: ConstraintSpec, count: int) -> PTable:
     the pairs P-positions (module docstring).  On BeattyDelta and Constant
     the pairs are the slope's Beatty rows and no check can fail.
     """
-    return PTable(_recurrence(constraint, count, True), TableSource.RELAXED_RECURRENCE)
+    return _recurrence(constraint, count, TableSource.RELAXED_RECURRENCE)
 
 
-def _recurrence(constraint: ConstraintSpec, count: int, relaxed: bool) -> Tuple[Tuple[int, int], ...]:
+def _recurrence(constraint: ConstraintSpec, count: int, source: TableSource) -> PTable:
     """Pairs of b_n = f(a_{n-1}, b_{n-1}, a_n) + b_{n-1} + a_n - a_{n-1}.
 
     From the constraint's Beatty words if any; else a_n, the mex, only grows
-    and a pointer skipping the used b's finds it.  See the module docstring.
+    and a pointer skipping the used b's finds it.  The relaxed checks run
+    when `source` is RELAXED_RECURRENCE, and only the other loop's table is
+    checked.  See the module docstring.
     """
     _check_count(count)
     words = constraint._beatty_words(count - 1)
     if words is not None:
-        return tuple(list(zip(*_running_floors(words))))
+        return PTable(tuple(list(zip(*_running_floors(words)))), source)
+    relaxed = source is TableSource.RELAXED_RECURRENCE
     value = constraint.value
     pairs = [(0, 0)]
     append = pairs.append
@@ -291,7 +312,7 @@ def _recurrence(constraint: ConstraintSpec, count: int, relaxed: bool) -> Tuple[
         add(b_prev)
         append((a, b_prev))
         a_prev = a
-    return tuple(pairs)
+    return PTable(tuple(pairs), source) if relaxed else _checked_table(tuple(pairs), source)
 
 
 def retrograde_oracle(rules: RuleSet, bound: int) -> Set[Position]:

@@ -217,6 +217,22 @@ class TestGen:
         )
         assert ptable_from_csv(out).pairs[6] == (9, 19)
 
+    def test_fraenkel_closed_form_at_a_huge_constant(self):
+        # Modified Constant(t) is Fraenkel's game: b_n - a_n = t*n, a_n the mex.
+        # The row engine's time grows as count^2 here, as every pair stays
+        # younger than t; the step words' time does not depend on t.
+        t, count = 10**9, 10**5
+        code, out = run(["gen", "--constant", str(t), "--count", str(count)])
+        assert code == EXIT_OK
+        pairs = ptable_from_csv(out).pairs
+        assert len(pairs) == count
+        used, mex = set(), 0
+        for n, (a, b) in enumerate(pairs):
+            while mex in used:
+                mex += 1
+            assert (a, b - a) == (mex, t * n), n
+            used.update((a, b))
+
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "table.json"
         code, _ = run(

@@ -352,15 +352,45 @@ class TestDoubleMex:
 
     def test_origin_only_memory_follows_count(self):
         # Constant(t) covers d up to about count * t (10^6 here, 8 MiB as one
-        # dense list); the covered runs must not grow with it.
+        # dense list); the covered runs must not grow with it.  The rows are
+        # driven directly: solve_doublemex spells Constant's from its words.
         tracemalloc.start()
         try:
-            table = solve_doublemex(Constant(250), 4000)
+            pairs = tuple(itertools.islice(_rows(Constant(250), False), 4000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.pairs == recurrence_closed(Constant(250), 4000).pairs
+        assert pairs == recurrence_closed(Constant(250), 4000).pairs
         assert peak < 4 * 2**20, peak
+
+    def test_theorem_cases_equal_the_rows(self):
+        # solve_doublemex spells Fraenkel's Constant(t) and the compatible
+        # BeattyDelta slopes from the step words; the rows are the reference.
+        slopes = [alpha for alpha, _ in enumerate_families(6, 6, 6)]
+        slopes += [alpha for alpha in criterion_10_slopes(25) if classify_alpha(alpha).compatible]
+        slopes += seeded_slopes_by_kind(20)[:20]
+        cases = [(BeattyDelta(alpha), 10**4) for alpha in slopes]
+        cases += [(Constant(t), 3000) for t in (1, 2, 3, 10, 1000)] + [(Constant(10**9), 1000)]
+        for spec, count in cases:
+            table = solve_doublemex(spec, count)
+            assert table.pairs == tuple(itertools.islice(_rows(spec, False), count)), spec
+            assert table.source is TableSource.DOUBLE_MEX
+
+    def test_theorem_cases_read_no_constraint_value(self):
+        # A silent fallback to the rows reads the constraint on every row.
+        def counting(cls):
+            class Counting(cls):
+                reads = 0
+
+                def value(self, *args):
+                    self.reads += 1
+                    return super().value(*args)
+            return Counting
+
+        for cls, arg, on_rows in ((Constant, 2, False), (BeattyDelta, A19, False), (BeattyDelta, A55, True)):
+            spec = counting(cls)(arg)
+            solve_doublemex(spec, 300)
+            assert (spec.reads > 0) is on_rows, (spec, spec.reads)
 
     def test_count_cap(self):
         for gen in (solve_doublemex, solve_relaxed, recurrence_closed):
@@ -381,10 +411,11 @@ class TestDoubleMex:
         assert len(solve_relaxed(Constant(1), MAX_ROW_RULE_COUNT + 1)) == MAX_ROW_RULE_COUNT + 1
 
     def test_closed_equals_doublemex_when_inequality_holds(self):
-        # 2*min f - max f >= 1 over visited values
+        # 2*min f - max f >= 1 over visited values.  The modified game's rows,
+        # not solve_doublemex, which spells these slopes' rows from the words.
         for spec in (Constant(1), Constant(4), BeattyDelta(A19), BeattyDelta(PHI)):
             closed = recurrence_closed(spec, 500)
-            assert closed.pairs == solve_doublemex(spec, 500).pairs
+            assert closed.pairs == tuple(itertools.islice(_rows(spec, False), 500))
 
 
 class TestRelaxed:
@@ -830,7 +861,7 @@ class TestDetectGap:
 
 def parsers(pairs, source):
     """Calls that write the pairs as CSV and as JSON and parse each back: only
-    the parsers (and recurrence_closed) check a table."""
+    the parsers (and recurrence_closed's loop) check a table."""
     table = PTable(tuple(pairs), source)
     return (
         lambda: ptable_from_csv(ptable_to_csv(table)),
@@ -1009,7 +1040,8 @@ class TestTableBuild:
         json_text, csv_text = ptable_to_json(big), ptable_to_csv(big)
         loop = FnConstraint(Constant(2).value, Shape.ORIGIN)
         calls = {
-            "solve_doublemex": lambda: solve_doublemex(BeattyDelta(A19), 2 * 10**4),
+            "solve_doublemex(rows)": lambda: solve_doublemex(BeattyDelta(A55), 2 * 10**4),
+            "solve_doublemex(words)": lambda: solve_doublemex(BeattyDelta(A19), 10**5),
             "ptable_from_json": lambda: ptable_from_json(json_text),
             "ptable_from_csv": lambda: ptable_from_csv(csv_text),
         }
@@ -1025,7 +1057,8 @@ class TestTableBuild:
     def test_pairs_are_a_tuple_of_tuples(self):
         # PTable equality compares pairs: a list would never equal a tuple.
         loop = FnConstraint(Constant(2).value, Shape.ORIGIN)
-        tables = [solve_doublemex(spec, 300) for spec in (BeattyDelta(A19), TargetBeatty(A55), loop)]
+        specs = (BeattyDelta(A19), BeattyDelta(A55), TargetBeatty(A55), loop)
+        tables = [solve_doublemex(spec, 300) for spec in specs]
         tables.append(solve_doublemex(ParityHalf(), 50))
         for spec in (BeattyDelta(A19), Constant(2), loop):
             tables += [solve_relaxed(spec, 300), recurrence_closed(spec, 300)]
