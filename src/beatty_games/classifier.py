@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 from typing import List, Optional, Tuple
 
 from .games import SCHEMA, BeattyDelta, Family, RuleSet, _csv_text, _json_object
 from .quadfield import BeattyPair, QuadraticNumber, _unit_solution, conjugate_beatty
 
-MAX_FAMILY_BOUND = 100  # largest p_max, q_max, t_max of enumerate_families
+MAX_FAMILY_BOUND = 100  # largest p_max, q_max, t_max of enumerate_families: ~25 ms at 100
 
 
 class FamilyLabel(Enum):
@@ -150,18 +151,27 @@ def family_iii_alpha(p: int, q: int) -> Optional[QuadraticNumber]:
 
 
 def _family_root(p: int, q: int, m: int, beta_floor: int) -> Optional[QuadraticNumber]:
-    """alpha = (2q - m + sqrt(4pq + m^2)) / (2q) if it is irrational, inside
-    (1, 2) and its conjugate's floor is beta_floor, its pair then held by the
-    slope: Family II has m = beta_floor*p - 1, Family III has m = 3p + 1 - q
-    and beta_floor 4."""
+    """alpha = (2q - m + sqrt(N)) / (2q), N = 4pq + m^2, if it is irrational,
+    inside (1, 2) and its conjugate's floor is beta_floor, its pair then held by
+    the slope: Family II has m = beta_floor*p - 1, Family III has m = 3p + 1 - q
+    and beta_floor 4.
+
+    Decided in integers before any number is built.  beta = alpha/(alpha - 1)
+    falls on alpha > 1, so floor(beta) = bf iff (bf+1)/bf < alpha < bf/(bf-1),
+    bounds inside (1, 3/2] for bf >= 3 that also give 1 < alpha < 2.  Times 2q*bf
+    and 2q*(bf-1): bf*sqrt(N) > 2q + bf*m and (bf-1)*sqrt(N) < 2q + (bf-1)*m,
+    tested by sign and by squaring.
+    """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     if beta_floor not in (3, 4):
         raise ValueError("beta_floor must be 3 or 4")
-    alpha = QuadraticNumber(2 * q - m, 1, 2 * q, 4 * p * q + m * m)
-    if alpha.q == 0 or not (1 < alpha < 2):
+    n, bf = 4 * p * q + m * m, beta_floor
+    lo, hi = 2 * q + bf * m, 2 * q + (bf - 1) * m
+    if (isqrt(n) ** 2 == n or 0 <= lo and lo * lo >= bf * bf * n
+            or hi <= 0 or hi * hi <= (bf - 1) ** 2 * n):
         return None
-    return alpha if conjugate_beatty(alpha).beta.floor() == beta_floor else None
+    return QuadraticNumber(2 * q - m, 1, 2 * q, n)
 
 
 def inverse_solve(alpha: QuadraticNumber) -> Tuple[RuleSet, BeattyDelta]:

@@ -113,7 +113,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import sub
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .classifier import _classify
 from .games import (
@@ -133,7 +133,7 @@ from .quadfield import QuadraticNumber, _running_floors, conjugate_beatty
 MAX_ORACLE_BOUND = 4096  # board size; the oracle's time grows as bound * #P
 MAX_COUNT = 10**6  # pairs per generator call
 MAX_ROW_RULE_COUNT = 2048  # pairs per GENERAL double-mex call, whose time grows as count^2
-MAX_HORIZON = 1000  # detect_gap's reports grow as horizon^2: 10^5 at 1,000 for (5+sqrt(5))/5
+MAX_HORIZON = 1000  # detect_gap's reports grow as horizon^2: 10^5 at 1,000 for (5+sqrt(5))/5, ~0.75 us each
 
 
 class HypothesisError(ValueError):
@@ -442,8 +442,7 @@ def _rows(constraint: ConstraintSpec, relaxed: bool, bound: Optional[int] = None
             yield x, y
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """A positive gap between consecutive exclusion intervals I_{k-1} and I_k.
 
     gap_size = f(a_k) - 2*f(a_n) + 1 > 0; filled tells whether some earlier
@@ -460,27 +459,28 @@ def detect_gap(alpha: QuadraticNumber, horizon: int) -> List[GapReport]:
     """Positive inter-interval gaps of the Beatty constraint, up to `horizon`.
 
     Works in the Beatty world: pairs are (floor(n*alpha), floor(n*beta)) and
-    the constraint value at index m is delta2(alpha, m).  A running max of f
-    skips the rows with no positive gap, so a gap-free slope costs O(horizon).
+    the constraint value at index m is delta2(alpha, m).  Row n reads only the
+    k whose f[k] leaves it a gap (one index list per value of f, at most
+    three), so the cost is O(horizon + reports).
     """
     if not 1 <= horizon <= MAX_HORIZON:
         raise ValueError(f"horizon must be in [1, {MAX_HORIZON}], got {horizon}")
     a, b, f = zip(*_beatty_columns(alpha, horizon + 1))
     reports: List[GapReport] = []
-    top = f[1]  # max(f[k] for k < n): no gap in row n unless top - 2*f[n] + 1 > 0
-    for n in range(2, horizon + 1):
+    new = tuple.__new__  # skips GapReport.__new__'s argument binding
+    later = {v: [] for v in f[1:]}  # later[v]: the k < n with f[k] - 2*v + 1 > 0
+    for n in range(1, horizon + 1):
         fn = f[n]
-        if top - 2 * fn + 1 > 0:
-            for k in range(1, n):
-                size = f[k] - 2 * fn + 1
-                if size <= 0:
-                    continue
-                lo = a[n] + b[k - 1] - a[k - 1] + fn
-                # b is increasing: the least b_j >= lo decides whether one lands in the gap.
-                j = bisect_left(b, lo, 0, n)
-                filled = j < n and b[j] < lo + size
-                reports.append(GapReport(n=n, k=k, gap_size=size, filled=filled))
-        top = max(top, fn)
+        for k in later[fn]:
+            size = f[k] - 2 * fn + 1
+            lo = a[n] + b[k - 1] - a[k - 1] + fn
+            # b is increasing: the least b_j >= lo decides whether one lands in the gap.
+            j = bisect_left(b, lo, 0, n)
+            filled = j < n and b[j] < lo + size
+            reports.append(new(GapReport, (n, k, size, filled)))
+        for v, ks in later.items():
+            if fn - 2 * v + 1 > 0:
+                ks.append(n)
     return reports
 
 

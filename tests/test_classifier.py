@@ -17,7 +17,7 @@ from beatty_games.classifier import (
     golden_alpha,
     inverse_solve,
 )
-from beatty_games import quadfield
+from beatty_games import classifier, quadfield
 from beatty_games.games import BeattyDelta, Family
 from beatty_games.quadfield import QuadraticNumber, conjugate_beatty
 from beatty_games.solver import (
@@ -30,6 +30,8 @@ from beatty_games.quadfield import beatty_floor
 PHI = QuadraticNumber(1, 1, 2, 5)
 A55 = QuadraticNumber(5, 1, 5, 5)
 A19 = QuadraticNumber(-3, 1, 1, 19)
+# Family roots kept of the 30,000 candidates with 1 <= p, q <= MAX_FAMILY_BOUND
+KEPT_AT_CAP = 600
 
 # hand-picked incompatible slopes beyond A55 (floor(beta) = 2 non-golden, or
 # floor(beta) = 3 with both excludes unsolvable)
@@ -196,6 +198,29 @@ class TestFamilyConstructors:
         with pytest.raises(ValueError, match="^p and q must be >= 1$"):  # checked first
             family_ii_alpha(1, 0, 5)
 
+    def test_roots_equal_build_then_reject(self):
+        """The integer decision keeps exactly the roots that building the
+        number and then testing it keeps, over the whole CLI box."""
+
+        def build_then_reject(p, q, m, beta_floor):
+            alpha = QuadraticNumber(2 * q - m, 1, 2 * q, 4 * p * q + m * m)
+            if alpha.q == 0 or not (1 < alpha < 2):
+                return None
+            return alpha if conjugate_beatty(alpha).beta.floor() == beta_floor else None
+
+        kept = 0
+        for p in range(1, MAX_FAMILY_BOUND + 1):
+            for q in range(1, MAX_FAMILY_BOUND + 1):
+                for got, m, bf in (
+                    (family_ii_alpha(p, q, 3), 3 * p - 1, 3),
+                    (family_ii_alpha(p, q, 4), 4 * p - 1, 4),
+                    (family_iii_alpha(p, q), 3 * p + 1 - q, 4),
+                ):
+                    want = build_then_reject(p, q, m, bf)
+                    assert (got is None) == (want is None) and got == want, (p, q, m, bf)
+                    kept += want is not None
+        assert kept == KEPT_AT_CAP
+
     def test_constructor_outputs_classify_compatible(self):
         for p in range(1, 5):
             for q in range(1, 5):
@@ -253,6 +278,19 @@ class TestEnumeration:
                 seen.add(alpha)
                 want.append((alpha, classify_alpha(alpha)))
         assert enumerate_families(6, 6, 6) == want
+
+    def test_cap_builds_only_kept_roots(self, monkeypatch):
+        """One number per golden slope and per kept root: building every
+        candidate and then rejecting it would build 30,000."""
+        built, number = [], classifier.QuadraticNumber
+
+        def counting(*args):
+            built.append(args)
+            return number(*args)
+
+        monkeypatch.setattr(classifier, "QuadraticNumber", counting)
+        enumerate_families(MAX_FAMILY_BOUND, MAX_FAMILY_BOUND, MAX_FAMILY_BOUND)
+        assert len(built) == MAX_FAMILY_BOUND + KEPT_AT_CAP
 
     def test_deduplicated(self):
         entries = enumerate_families(4, 4, 4)

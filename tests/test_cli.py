@@ -309,6 +309,8 @@ GOLDEN_CASES = {
     "classify_phi.txt": ["classify", "--alpha", PHI_TEXT],
     "classify_a55.json": ["classify", "--alpha", A55_TEXT, "--json"],
     "families_333.csv": ["families", "--p-max", "3", "--q-max", "3", "--t-max", "3"],
+    # The families at the cap, MAX_FAMILY_BOUND = 100: 697 slopes.
+    "families_100.csv": ["families", "--p-max", "100", "--q-max", "100", "--t-max", "100"],
     "verify_a55.txt": ["verify", "--family", "modified", "--beatty", A55_TEXT,
                        "--count", "10", "--bound", "30"],
     "oracle_parity_half_50.csv": ["oracle", "--family", "modified", "--parity-half",

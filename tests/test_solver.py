@@ -814,6 +814,18 @@ class TestDetectGap:
         reports = detect_gap(A55, 10)
         assert any(r.n == 3 and not r.filled for r in reports)
 
+    def test_report_is_an_immutable_named_tuple(self):
+        report = GapReport(2, 1, 1, False)
+        assert report == GapReport(n=2, k=1, gap_size=1, filled=False)
+        assert GapReport._fields == ("n", "k", "gap_size", "filled")
+        assert repr(report) == "GapReport(n=2, k=1, gap_size=1, filled=False)"
+        for name in ("n", "filled", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, 3)
+        assert report == (2, 1, 1, False) and hash(report) == hash(GapReport(2, 1, 1, False))
+        assert report != GapReport(2, 1, 1, True) and len({report, GapReport(2, 1, 1, False)}) == 1
+        assert all(type(r) is GapReport for r in detect_gap(A55, 10))
+
     def test_a19_never_unfilled(self):
         assert all(r.filled for r in detect_gap(A19, 100)) or not detect_gap(A19, 100)
 
