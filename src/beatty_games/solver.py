@@ -46,11 +46,12 @@ rule's skip past them:
   fall below b_{n-1} when f falls.
 
 Memory is O(#P) on every path.  retrograde_oracle always runs these rows;
-solve_doublemex runs them too, except in its two theorem cases (below),
-where the oracle is its check.  So on a shaped constraint outside those
-cases the oracle and the generator share code.  Two references read no
-shape: the GENERAL rows of a shaped constraint (wrapped as GENERAL) and a
-naive search over legal_moves; the tests hold every shaped rule to both.
+solve_doublemex runs them too, except in its two theorem cases and on
+ParityHalf (below), where the rows and the oracle are its check.  So on a
+shaped constraint outside those cases the oracle and the generator share
+code.  Two references read no shape: the GENERAL rows of a shaped
+constraint (wrapped as GENERAL) and a naive search over legal_moves; the
+tests hold every shaped rule to both.
 
 Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
 
@@ -62,8 +63,11 @@ Three generators share the mex-driven first component a_n = mex{a_k, b_k}:
   from the step words as the recurrences do: Fraenkel's for Constant(t),
   (floor(n*alpha_t), floor(n*alpha_t) + t*n), and the paper's sufficiency
   theorem for a BeattyDelta whose slope meets 2*min delta2 - max delta2 >= 1
-  (`classifier._classify`, in exact integers).  MAX_COUNT caps every
-  generator, and MAX_ROW_RULE_COUNT the GENERAL rows, whose time grows as
+  (`classifier._classify`, in exact integers).  On ParityHalf they are the
+  closed recurrence's pairs, the odd/even law (b_n = a_n + b_{n-1}, less
+  a_{n-1} when b_{n-1} is even), checked against the GENERAL rows up to
+  MAX_ROW_RULE_COUNT, not proved.  MAX_COUNT caps every generator, and
+  MAX_ROW_RULE_COUNT every GENERAL constraint, whose rows' time grows as
   count^2.
 * solve_relaxed      — the closed formula again, for relaxed Wythoff.  Its
   checks require f >= 0 and f >= 1 at the first step; that is not enough
@@ -89,8 +93,8 @@ Table rules: a table starts at (0, 0), its a_n strictly increase, a_n <= b_n,
 and a DOUBLE_MEX or RELAXED_RECURRENCE table uses no value twice (a tie
 a_n = b_n uses it once).  `_checked_table` checks them only where a table can
 break them: in the two parsers, whose pairs come from outside the program,
-and on recurrence_closed's loop path, where a negative f can push b_n below
-a_n.  The other paths keep them by construction: a_n is the mex; the rows
+and on the closed loop path (recurrence_closed, and solve_doublemex on
+ParityHalf), where a negative f can push b_n below a_n.  The other paths keep them by construction: a_n is the mex; the rows
 pick b_n >= a_n among unused values; the step words spell Beatty rows
 (Beatty's theorem); under f >= 0 the relaxed b_n strictly increases and
 b_n >= a_n + f.
@@ -122,6 +126,7 @@ from .games import (
     Constant,
     ConstraintSpec,
     Family,
+    ParityHalf,
     Position,
     RuleSet,
     Shape,
@@ -132,7 +137,9 @@ from .quadfield import QuadraticNumber, _running_floors, conjugate_beatty
 
 MAX_ORACLE_BOUND = 4096  # board size; the oracle's time grows as bound * #P
 MAX_COUNT = 10**6  # pairs per generator call
-MAX_ROW_RULE_COUNT = 2048  # pairs per GENERAL double-mex call, whose time grows as count^2
+# Pairs per GENERAL double-mex call: the rows' time grows as count^2, and
+# ParityHalf's recurrence was checked against them exhaustively up to here.
+MAX_ROW_RULE_COUNT = 2048
 MAX_HORIZON = 1000  # detect_gap's reports grow as horizon^2: 10^5 at 1,000 for (5+sqrt(5))/5, ~0.75 us each
 
 
@@ -194,13 +201,17 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     On Constant(t) (Fraenkel's theorem) and on a BeattyDelta whose slope is
     compatible (the paper's sufficiency theorem, decided by
     `classifier._classify`) these are the slope's Beatty rows, spelled from
-    the step words as the recurrences spell them.  Elsewhere b_n is the least
+    the step words as the recurrences spell them.  On ParityHalf they are the
+    closed recurrence's pairs, one value read per pair: its odd/even law
+    equals the rows at every count up to MAX_ROW_RULE_COUNT, checked
+    exhaustively, not proved.  Elsewhere b_n is the least
     b >= a_n distinct from every prior b_k and outside the intervals of the
     module docstring's row rule, found by the rule of the constraint's shape.
     `count` must be in [1, MAX_COUNT], as for every generator here, and in
-    [1, MAX_ROW_RULE_COUNT] for a GENERAL constraint, whose rows cost
-    O(count) evaluations each, O(count^2) in all.  Every path holds
-    O(count) memory, however far b_n runs ahead of a_n.
+    [1, MAX_ROW_RULE_COUNT] for a GENERAL constraint: its rows cost O(count)
+    evaluations each, O(count^2) in all, and ParityHalf's recurrence is
+    checked only that far.  Every path holds O(count) memory, however far
+    b_n runs ahead of a_n.
     """
     if isinstance(constraint, Constant) or (
         isinstance(constraint, BeattyDelta) and _classify(constraint.pair).compatible
@@ -209,6 +220,8 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     _check_count(count)
     if constraint.shape is Shape.GENERAL and count > MAX_ROW_RULE_COUNT:
         raise ValueError(f"count {count} exceeds the cap {MAX_ROW_RULE_COUNT} for a GENERAL constraint")
+    if isinstance(constraint, ParityHalf):
+        return _recurrence(constraint, count, TableSource.DOUBLE_MEX)
     return PTable(tuple(list(itertools.islice(_rows(constraint, False), count))), TableSource.DOUBLE_MEX)
 
 
@@ -333,7 +346,8 @@ def retrograde_oracle(rules: RuleSet, bound: int) -> Set[Position]:
     if bound > MAX_ORACLE_BOUND:
         raise ValueError(f"oracle bound {bound} exceeds the cap {MAX_ORACLE_BOUND}")
     relaxed = rules.family is Family.RELAXED
-    return {Position(x, y) for x, y in _rows(rules.constraint, relaxed, bound)}
+    # tuple.__new__ skips Position.__new__'s argument binding, as in detect_gap
+    return set(map(tuple.__new__, itertools.repeat(Position), _rows(rules.constraint, relaxed, bound)))
 
 
 def _rows(constraint: ConstraintSpec, relaxed: bool, bound: Optional[int] = None):

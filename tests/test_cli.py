@@ -305,6 +305,8 @@ GOLDEN_CASES = {
     "gen_beatty_a19_300.csv": ["gen", "--beatty", A19_TEXT, "--count", "300"],
     "gen_constant2_300.csv": ["gen", "--constant", "2", "--count", "300"],
     "gen_parity_half_50.csv": ["gen", "--family", "modified", "--parity-half", "--count", "50"],
+    # ParityHalf at the row-rule cap, MAX_ROW_RULE_COUNT = 2048, frozen from the rows.
+    "gen_parity_half_2048.csv": ["gen", "--family", "modified", "--parity-half", "--count", "2048"],
     "inverse_a55.txt": ["inverse", "--alpha", A55_TEXT, "--count", "10"],
     "classify_phi.txt": ["classify", "--alpha", PHI_TEXT],
     "classify_a55.json": ["classify", "--alpha", A55_TEXT, "--json"],

@@ -172,6 +172,17 @@ def oracle_ptable(positions):
     return PTable(tuple(sorted(map(tuple, positions))), TableSource.ORACLE)
 
 
+def counting(cls):
+    """A subclass of the constraint class `cls` that counts its value reads."""
+    class Counting(cls):
+        reads = 0
+
+        def value(self, *args):
+            self.reads += 1
+            return super().value(*args)
+    return Counting
+
+
 class TestClosedRecurrence:
     def test_beatty_rows_reproduced(self):
         table = recurrence_closed(BeattyDelta(A55), 10)
@@ -201,10 +212,11 @@ class TestDoubleMex:
         assert solve_doublemex(ParityHalf(), 3).pairs == ((0, 0), (1, 1), (2, 3))
 
     def test_parity_odd_even_recurrence(self):
-        table = solve_doublemex(ParityHalf(), 200)
+        # The rows, not solve_doublemex, which runs this law as its recurrence.
+        pairs = tuple(itertools.islice(_rows(ParityHalf(), False), 200))
         for n in range(2, 200):
-            a, b = table.pairs[n]
-            a_prev, b_prev = table.pairs[n - 1]
+            a, b = pairs[n]
+            a_prev, b_prev = pairs[n - 1]
             if b_prev % 2 == 1:
                 assert b == a + b_prev
             else:
@@ -376,17 +388,21 @@ class TestDoubleMex:
             assert table.pairs == tuple(itertools.islice(_rows(spec, False), count)), spec
             assert table.source is TableSource.DOUBLE_MEX
 
+    def test_parity_recurrence_equals_the_rows_to_the_cap(self):
+        # solve_doublemex runs ParityHalf's odd/even law as the closed
+        # recurrence.  Both tables are built pair by pair and the cap refuses
+        # more, so equality at the cap covers every count accepted.
+        table = solve_doublemex(ParityHalf(), MAX_ROW_RULE_COUNT)
+        assert table.pairs == tuple(itertools.islice(_rows(ParityHalf(), False), MAX_ROW_RULE_COUNT))
+        assert table.source is TableSource.DOUBLE_MEX
+        # One read per pair after (0, 0); a fallback to the rows reads O(count) per row.
+        for count in (1, 2, 300, MAX_ROW_RULE_COUNT):
+            spec = counting(ParityHalf)()
+            solve_doublemex(spec, count)
+            assert spec.reads == count - 1, (count, spec.reads)
+
     def test_theorem_cases_read_no_constraint_value(self):
         # A silent fallback to the rows reads the constraint on every row.
-        def counting(cls):
-            class Counting(cls):
-                reads = 0
-
-                def value(self, *args):
-                    self.reads += 1
-                    return super().value(*args)
-            return Counting
-
         for cls, arg, on_rows in ((Constant, 2, False), (BeattyDelta, A19, False), (BeattyDelta, A55, True)):
             spec = counting(cls)(arg)
             solve_doublemex(spec, 300)
@@ -398,7 +414,8 @@ class TestDoubleMex:
                 gen(Constant(1), MAX_COUNT + 1)
 
     def test_row_rule_cap(self):
-        # GENERAL constraints run the quadratic row rule; the other shapes do not.
+        # GENERAL constraints run the quadratic row rule, and ParityHalf's
+        # recurrence is checked against it only this far; the other shapes are not capped.
         for spec in (ParityHalf(), ExplicitTable({(0, 0, 1): 1})):
             with pytest.raises(ValueError, match=f"count {MAX_ROW_RULE_COUNT + 1} exceeds the cap "
                                                  f"{MAX_ROW_RULE_COUNT} for a GENERAL constraint"):
