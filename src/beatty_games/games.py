@@ -71,11 +71,6 @@ class ConstraintSpec:
     def params(self) -> dict:
         raise NotImplementedError
 
-    def _beatty_words(self, m: int) -> Optional[Tuple[Tuple[int, bytes], Tuple[int, bytes]]]:
-        """(floor(x), steps) words of `quadfield._step_word`, m steps, for x = alpha, beta: the slopes
-        whose Beatty rows the recurrences write out on this constraint (`solver`), or None."""
-        return None
-
 
 @dataclass(eq=True)
 class Constant(ConstraintSpec):
@@ -96,6 +91,8 @@ class Constant(ConstraintSpec):
         return {"t": self.t}
 
     def _beatty_words(self, m: int) -> Tuple[Tuple[int, bytes], Tuple[int, bytes]]:
+        """(floor(x), steps) words of `quadfield._step_word`, m steps, for x = alpha, beta: the slopes
+        whose Beatty rows the recurrences write out on Constant and BeattyDelta (`solver`)."""
         # alpha_t = [1; t, t, ...], beta_t = alpha_t + t (classifier.golden_alpha), from the
         # quotients alone: at large t the radicand t*t + 4 exceeds quadfield.MAX_RADICAND.
         return tuple(_step_word(chain((whole,), repeat(self.t)), m) for whole in (1, self.t + 1))

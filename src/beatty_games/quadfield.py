@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, count, takewhile
+from itertools import accumulate, count
 from math import gcd, isqrt
 from operator import add
 from typing import Iterator, Optional, Tuple
@@ -49,7 +49,7 @@ from typing import Iterator, Optional, Tuple
 
 # Trial division in _square_free takes at most sqrt(MAX_RADICAND) = 10**6 steps.
 MAX_RADICAND = 10**12
-MAX_RAYLEIGH_LIMIT = 10**6  # rayleigh_verify holds about 85 bytes per unit of limit
+MAX_RAYLEIGH_LIMIT = 10**6  # rayleigh_verify peaks at about 6 bytes per unit of limit
 _HELD_ROWS = 4096  # step bytes each BeattyPair keeps per slope: 8 KB a pair
 
 
@@ -526,15 +526,29 @@ def trichotomy_class(alpha: QuadraticNumber, n: int) -> Trichotomy:
     return conjugate_beatty(alpha).trichotomy(n)
 
 
+_STEP_TOKENS = bytes.maketrans(b"\0\1", b"\2\3")  # step letters as placeholders for the tokens
+_SWAP_MARKS = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def rayleigh_verify(pair: BeattyPair, limit: int) -> bool:
-    """Check that the two Beatty sequences tile [0, limit] with only 0 shared:
-    the rows' values <= limit, sorted once, must read 0, 0, 1, ..., limit."""
+    """Check that the two Beatty sequences tile [0, limit] with only 0 shared.
+
+    Each row's step word becomes one mark byte per value in 1..limit: a step
+    of floor(x) + s is floor(x) + s - 1 zero bytes and a one.  No token runs
+    past limit + 1 bytes, so a floor(beta) above limit marks nothing.  Both
+    rows hold 0; they tile exactly when alpha's marks are beta's with 0 and
+    1 swapped.  No Python int per value and no sort.
+    """
     if not 0 <= limit <= MAX_RAYLEIGH_LIMIT:
         raise ValueError(f"limit must be in [0, {MAX_RAYLEIGH_LIMIT}], got {limit}")
-    # floor((limit+1)*gamma) > limit, and each row of floors increases
-    rows = pair._floors(limit + 2)
-    values = sorted(chain.from_iterable(takewhile(limit.__ge__, row) for row in rows))
-    return values == [0, *range(limit + 1)]
+    marks_a, marks_b = (
+        steps[:limit // whole + 1].translate(_STEP_TOKENS)
+        .replace(b"\2", bytes(min(whole - 1, limit)) + b"\1")
+        .replace(b"\3", bytes(min(whole, limit)) + b"\1")[:limit]
+        .ljust(limit, b"\0")  # a row whose word ends marks nothing more
+        for whole, steps in pair._steps(limit + 1)
+    )
+    return marks_a.translate(_SWAP_MARKS) == marks_b
 
 
 def _unit_solution(up: int, uq: int, ur: int, vp: int, vq: int, vr: int) -> Optional[Tuple[int, int]]:

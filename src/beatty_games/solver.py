@@ -81,6 +81,8 @@ relaxed one reads it as 0 and raises HypothesisError when f < 0, or when
 f < 1 at the first step.  On BeattyDelta(alpha) and Constant(t) the loop
 writes out the Beatty rows (floor(n*alpha), floor(n*beta)), which
 `_recurrence` spells from the constraint's step words (`_beatty_words`).
+A subclass that overrides `value` takes the loop, and in solve_doublemex
+the rows: its law is its own.
 By induction, as the integers strictly between floor((n-1)*alpha) and
 floor(n*alpha) are floor(k*beta), k < n (Beatty's theorem): the mex is
 a_n = floor(n*alpha), where BeattyDelta reads delta2(n) since
@@ -213,14 +215,13 @@ def solve_doublemex(constraint: ConstraintSpec, count: int) -> PTable:
     checked only that far.  Every path holds O(count) memory, however far
     b_n runs ahead of a_n.
     """
-    if isinstance(constraint, Constant) or (
-        isinstance(constraint, BeattyDelta) and _classify(constraint.pair).compatible
-    ):
+    own = type(constraint).value  # a subclass that overrides value has rows of its own
+    if own is Constant.value or (own is BeattyDelta.value and _classify(constraint.pair).compatible):
         return _recurrence(constraint, count, TableSource.DOUBLE_MEX)
     _check_count(count)
     if constraint.shape is Shape.GENERAL and count > MAX_ROW_RULE_COUNT:
         raise ValueError(f"count {count} exceeds the cap {MAX_ROW_RULE_COUNT} for a GENERAL constraint")
-    if isinstance(constraint, ParityHalf):
+    if own is ParityHalf.value:
         return _recurrence(constraint, count, TableSource.DOUBLE_MEX)
     return PTable(tuple(list(itertools.islice(_rows(constraint, False), count))), TableSource.DOUBLE_MEX)
 
@@ -290,15 +291,16 @@ def solve_relaxed(constraint: ConstraintSpec, count: int) -> PTable:
 def _recurrence(constraint: ConstraintSpec, count: int, source: TableSource) -> PTable:
     """Pairs of b_n = f(a_{n-1}, b_{n-1}, a_n) + b_{n-1} + a_n - a_{n-1}.
 
-    From the constraint's Beatty words if any; else a_n, the mex, only grows
-    and a pointer skipping the used b's finds it.  The relaxed checks run
-    when `source` is RELAXED_RECURRENCE, and only the other loop's table is
-    checked.  See the module docstring.
+    From the Beatty words of a Constant or BeattyDelta that keeps its
+    class's value; else a_n, the mex, only grows and a pointer skipping the
+    used b's finds it.  The relaxed checks run when `source` is
+    RELAXED_RECURRENCE, and only the other loop's table is checked.  See the
+    module docstring.
     """
     _check_count(count)
-    words = constraint._beatty_words(count - 1)
-    if words is not None:
-        return PTable(tuple(list(zip(*_running_floors(words)))), source)
+    own = type(constraint).value
+    if own is Constant.value or own is BeattyDelta.value:
+        return PTable(tuple(list(zip(*_running_floors(constraint._beatty_words(count - 1))))), source)
     relaxed = source is TableSource.RELAXED_RECURRENCE
     value = constraint.value
     pairs = [(0, 0)]

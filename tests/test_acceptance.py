@@ -28,6 +28,7 @@ from beatty_games.games import (
     is_legal_move,
 )
 from beatty_games.quadfield import (
+    MAX_RAYLEIGH_LIMIT,
     QuadraticNumber,
     beatty_floor,
     conjugate_beatty,
@@ -244,9 +245,9 @@ def test_criterion_9_rayleigh_complementarity():
         for alpha in TEST_ALPHAS:
             pair = conjugate_beatty(alpha)
             assert pair.alpha.inv() + pair.beta.inv() == 1
-            assert rayleigh_verify(pair, 100_000)
+            assert rayleigh_verify(pair, MAX_RAYLEIGH_LIMIT)
 
-    run_criterion(9, "Rayleigh complementarity to 10^5", 10.0, body)
+    run_criterion(9, "Rayleigh complementarity to the cap, 10^6", 10.0, body)
 
 
 def test_criterion_10_inverse_guarantee():

@@ -507,52 +507,119 @@ class TestTrichotomy:
 
 
 def _rayleigh_by_count(pair, limit):
-    """Reference tiling check: a count per value, each of 1..limit once and 0 twice."""
+    """Reference tiling check: a count per value, each of 1..limit once and 0 twice,
+    over the rows that `_running_floors` sums from the pair's step words."""
     hits = bytearray(limit + 1)
-    for row in pair._floors(limit + 2):
+    for row in quadfield._running_floors(pair._steps(limit + 1)):
         for v in itertools.takewhile(limit.__ge__, row):
             hits[v] += 1
     return hits[0] == 2 and all(h == 1 for h in hits[1:])
 
 
-class _StubRows:
-    """Stands in for a pair in rayleigh_verify: fixed rows whatever m is asked."""
+class _StubWords:
+    """Stands in for a pair in rayleigh_verify: fixed (floor, step word) rows, cut at m steps."""
 
-    def __init__(self, *rows):
-        self.rows = rows
+    def __init__(self, *words):
+        self.words = words
 
-    def _floors(self, m):
-        return tuple(map(iter, self.rows))
+    def _steps(self, m):
+        return tuple((whole, steps[:m]) for whole, steps in self.words)
+
+
+_LOW_BIT = bytes(i & 1 for i in range(256))  # random bytes to 0/1 letters
+
+
+def _flip(word, k):
+    """word with its letter k changed between 0 and 1."""
+    return word[:k] + bytes((1 - word[k],)) + word[k + 1:]
 
 
 class TestRayleigh:
-    # (rows, limit, tiles): rows that share a value or skip one do not tile.
+    # (rows, limit, tiles), each row spelled as (floor(x), step word): it
+    # starts at 0 and rises by floor(x) or floor(x) + 1, so a row never
+    # repeats 0 or lacks it.  Rows that share a value or skip one do not tile.
     STUBS = [
-        (([0, 0, 2], [0, 1]), 0, False),  # 0 three times
-        (([0, 1], [1, 3]), 0, False),  # 0 once
-        (([0, 2], [0, 3]), 0, True),
-        (([0, 1, 3], [0, 1, 4]), 1, False),  # 1 shared
-        (([0, 2, 3], [0, 3, 5]), 1, False),  # 1 skipped
-        (([0, 1, 3], [0, 2, 5]), 1, True),
-        (([0, 1, 3, 4, 6], [0, 2, 5, 7]), 6, True),
-        (([0, 1, 3, 4, 6], [0, 2, 4, 7]), 6, False),  # 4 shared
-        (([0, 1, 3, 6], [0, 2, 5, 7]), 6, False),  # 4 skipped
+        (((1, b"\0\0"), (1, b"\0\0")), 2, False),  # 1 and 2 shared: [0, 1, 2] twice
+        (((3, b"\0"), (3, b"\0")), 2, False),  # 1 and 2 skipped: [0, 3] twice
+        (((2, b"\0"), (3, b"\0")), 0, True),  # [0, 2], [0, 3]
+        (((1, b"\0\1"), (1, b"\0\1")), 1, False),  # 1 shared: [0, 1, 3] twice
+        (((1, b"\1\0"), (2, b"\1\0")), 1, False),  # 1 skipped: [0, 2, 3], [0, 3, 5]
+        (((1, b"\0\1"), (2, b"\0\1")), 1, True),  # [0, 1, 3], [0, 2, 5]
+        (((1, b"\0\1\0\1"), (2, b"\0\1\0")), 6, True),  # [0, 1, 3, 4, 6], [0, 2, 5, 7]
+        (((1, b"\0\1\0\1"), (2, b"\0\0\1")), 6, False),  # 4 shared: [0, 1, 3, 4, 6], [0, 2, 4, 7]
+        (((1, b"\0\0\0\1\0"), (7, b"\0")), 6, False),  # 4 skipped: [0, 1, 2, 3, 5, 6], [0, 7]
     ]
 
     @pytest.mark.parametrize("rows, limit, tiles", STUBS)
     def test_stub_rows(self, rows, limit, tiles):
-        stub = _StubRows(*rows)
+        stub = _StubWords(*rows)
         assert rayleigh_verify(stub, limit) is tiles
         assert _rayleigh_by_count(stub, limit) is tiles
 
     def test_equals_the_count_on_real_rows(self):
         for alpha in (PHI, A55, A19, QuadraticNumber(0, 1, 1, 2)):
             pair = conjugate_beatty(alpha)
-            fa, fb = map(list, pair._floors(2002))
-            for rows in ((fa, fb), (fa, fb[:40] + fb[41:]), (fa[:7] + [fa[8]] + fa[8:], fb)):
-                stub = _StubRows(*rows)
-                assert rayleigh_verify(stub, 2000) is _rayleigh_by_count(stub, 2000) is (rows == (fa, fb))
+            words = (wa, ua), (wb, ub) = pair._steps(2001)
+            for case in (words, ((wa, ua), (wb, _flip(ub, 40))), ((wa, _flip(ua, 7)), (wb, ub)),
+                         ((wa, ua[:1000]), (wb, ub))):
+                stub = _StubWords(*case)
+                assert rayleigh_verify(stub, 2000) is _rayleigh_by_count(stub, 2000) is (case == words)
             assert rayleigh_verify(pair, 2000) is _rayleigh_by_count(pair, 2000) is True
+
+    def test_seeded_words_equal_the_count(self):
+        # Half the cases are a real pair's words, kept, with one letter
+        # flipped or cut short; half are random floors in 1..300 with random
+        # 0/1 words.  Limits are random too.
+        rng = random.Random(20261021)
+        slopes = [alpha for alpha, _ in enumerate_families(6, 6, 6)] + _criterion_10_slopes(10)
+        verdicts = []
+        for _ in range(1500):
+            limit = rng.choice((rng.randrange(8), rng.randrange(300), rng.randrange(3000)))
+            if rng.random() < 0.5:
+                words = conjugate_beatty(rng.choice(slopes))._steps(limit + 1)
+            else:
+                words = tuple((rng.randint(1, 300), rng.randbytes(limit + 1).translate(_LOW_BIT))
+                              for _ in range(2))
+            words = [list(w) for w in words]
+            row = rng.choice(words)
+            edit = rng.randrange(3)
+            if edit == 1 and row[1]:
+                row[1] = _flip(row[1], rng.randrange(len(row[1])))
+            elif edit == 2:
+                row[1] = row[1][:rng.randrange(len(row[1]) + 1)]
+            stub = _StubWords(*map(tuple, words))
+            verdict = _rayleigh_by_count(stub, limit)
+            assert rayleigh_verify(stub, limit) is verdict, (words, limit)
+            verdicts.append(verdict)
+        assert 400 < sum(verdicts) < 1100, sum(verdicts)
+
+    def test_wide_and_huge_floor_beta(self):
+        # floor(beta) = 255 and 256, and about 4.1*10^22 > limit near
+        # alpha = 1, where one mark token of floor(beta) bytes cannot be built.
+        near_one = QuadraticNumber(10**23 + 1, 1, 10**23, 2)
+        assert conjugate_beatty(near_one).beta.floor() > 4 * 10**22
+        for alpha in (*TestHeldWords.WIDE, near_one):
+            pair = conjugate_beatty(alpha)
+            for limit in (*range(6), 5000):
+                assert rayleigh_verify(pair, limit) is _rayleigh_by_count(pair, limit) is True, (alpha, limit)
+
+    def test_limits_around_the_held_words(self):
+        # _steps(limit + 1) slices the held words up to _HELD_ROWS and builds fresh ones past it.
+        held = quadfield._HELD_ROWS
+        for alpha in (PHI, A55, A19, TestHeldWords.SQRT3):
+            pair = conjugate_beatty(alpha)
+            for limit in (held - 1, held, held + 1):
+                assert rayleigh_verify(pair, limit) is _rayleigh_by_count(pair, limit) is True, (alpha, limit)
+
+    def test_cap_in_bounded_memory(self):
+        pair = conjugate_beatty(A55)
+        tracemalloc.start()
+        try:
+            assert rayleigh_verify(pair, MAX_RAYLEIGH_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
     def test_a55_small(self):
         assert rayleigh_verify(conjugate_beatty(A55), 29)
@@ -561,8 +628,8 @@ class TestRayleigh:
         assert rayleigh_verify(conjugate_beatty(PHI), 0)
 
     def test_limit_cap(self):
-        # The stub's rows cost nothing at any limit; the check comes before them.
-        stub = _StubRows([0], [0])
+        # The stub's words cost nothing at any limit; the check comes before them.
+        stub = _StubWords((1, b""), (1, b""))
         for limit in (-1, MAX_RAYLEIGH_LIMIT + 1):
             with pytest.raises(ValueError, match=rf"^limit must be in \[0, {MAX_RAYLEIGH_LIMIT}\], got"):
                 rayleigh_verify(stub, limit)

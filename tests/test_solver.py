@@ -172,15 +172,17 @@ def oracle_ptable(positions):
     return PTable(tuple(sorted(map(tuple, positions))), TableSource.ORACLE)
 
 
-def counting(cls):
-    """A subclass of the constraint class `cls` that counts its value reads."""
-    class Counting(cls):
-        reads = 0
+def count_reads(monkeypatch, *classes):
+    """The list of value reads of every instance of `classes`, patched on the
+    classes themselves: a subclass that overrides `value` takes other paths."""
+    reads = []
+    for cls in classes:
+        def counted(self, *args, value=cls.value):
+            reads.append(args)
+            return value(self, *args)
 
-        def value(self, *args):
-            self.reads += 1
-            return super().value(*args)
-    return Counting
+        monkeypatch.setattr(cls, "value", counted)
+    return reads
 
 
 class TestClosedRecurrence:
@@ -388,7 +390,7 @@ class TestDoubleMex:
             assert table.pairs == tuple(itertools.islice(_rows(spec, False), count)), spec
             assert table.source is TableSource.DOUBLE_MEX
 
-    def test_parity_recurrence_equals_the_rows_to_the_cap(self):
+    def test_parity_recurrence_equals_the_rows_to_the_cap(self, monkeypatch):
         # solve_doublemex runs ParityHalf's odd/even law as the closed
         # recurrence.  Both tables are built pair by pair and the cap refuses
         # more, so equality at the cap covers every count accepted.
@@ -396,17 +398,45 @@ class TestDoubleMex:
         assert table.pairs == tuple(itertools.islice(_rows(ParityHalf(), False), MAX_ROW_RULE_COUNT))
         assert table.source is TableSource.DOUBLE_MEX
         # One read per pair after (0, 0); a fallback to the rows reads O(count) per row.
+        reads = count_reads(monkeypatch, ParityHalf)
         for count in (1, 2, 300, MAX_ROW_RULE_COUNT):
-            spec = counting(ParityHalf)()
-            solve_doublemex(spec, count)
-            assert spec.reads == count - 1, (count, spec.reads)
+            reads.clear()
+            solve_doublemex(ParityHalf(), count)
+            assert len(reads) == count - 1, (count, len(reads))
 
-    def test_theorem_cases_read_no_constraint_value(self):
+    def test_theorem_cases_read_no_constraint_value(self, monkeypatch):
         # A silent fallback to the rows reads the constraint on every row.
+        reads = count_reads(monkeypatch, Constant, BeattyDelta)
         for cls, arg, on_rows in ((Constant, 2, False), (BeattyDelta, A19, False), (BeattyDelta, A55, True)):
-            spec = counting(cls)(arg)
+            reads.clear()
+            spec = cls(arg)
             solve_doublemex(spec, 300)
-            assert (spec.reads > 0) is on_rows, (spec, spec.reads)
+            assert (len(reads) > 0) is on_rows, (spec, len(reads))
+
+    def test_subclass_that_overrides_value_keeps_its_own_rows(self):
+        # Fraenkel's rows and A19's Beatty rows belong to the classes' own
+        # value; a subclass with another value gets its own rows and loop.
+        class Bumped(Constant):
+            def value(self, x1, y1, x0):
+                return 3 if x0 == 3 else 1
+
+        class Flat(BeattyDelta):
+            def value(self, x1, y1, x0):
+                return 1
+
+        pinned = {
+            Bumped: (((0, 0), (1, 2), (3, 7), (4, 6), (5, 8), (9, 14)),
+                     ((0, 0), (1, 2), (3, 7), (4, 9), (5, 11), (6, 13))),
+            Flat: (solve_doublemex(Constant(1), 6).pairs, recurrence_closed(Constant(1), 6).pairs),
+        }
+        for spec in (Bumped(1), Flat(A19)):
+            loop = FnConstraint(spec.value, spec.shape)
+            rows = tuple(itertools.islice(_rows(spec, False), 300))
+            assert solve_doublemex(spec, 300).pairs == rows
+            assert rows[:6] == pinned[type(spec)][0]
+            for gen in (recurrence_closed, solve_relaxed):
+                assert gen(spec, 300).pairs == gen(loop, 300).pairs, gen.__name__
+            assert recurrence_closed(spec, 6).pairs == pinned[type(spec)][1]
 
     def test_count_cap(self):
         for gen in (solve_doublemex, solve_relaxed, recurrence_closed):
