@@ -33,7 +33,7 @@ from .games import (
     Position,
     RuleSet,
     TargetBeatty,
-    _removal_ok,
+    _refusal,
     canonical,
     is_legal_move,
     ruleset_from_json,
@@ -191,23 +191,6 @@ def _parse_move(line: str) -> Tuple[int, int]:
     return take["a"], take["b"]
 
 
-def _explain_illegal(rules: RuleSet, pos: Position, k: int, l: int) -> str:
-    """Why `_removal_ok` refuses taking k from pile A and l from pile B at pos."""
-    x0, y0 = pos
-    if k == 0 and l == 0:
-        return "must remove at least one token"
-    if k > x0 or l > y0:
-        return f"cannot remove {k} from pile A({x0}) / {l} from pile B({y0})"
-    d1, d2 = x0 - k, y0 - l
-    bound = rules.constraint.value(d1, d2, x0)
-    if bound is None:
-        return f"diagonal from pile A = {x0} is disallowed (constraint undefined)"
-    diff, diff_text = l - k, f"({y0}-{d2})-({x0}-{d1})"
-    if rules.family is Family.MODIFIED:
-        diff, diff_text = abs(diff), f"|{diff_text}|"
-    return f"{diff_text} = {diff} >= f({d1},{d2},{x0}) = {bound}"
-
-
 def choose_engine_move(rules: RuleSet, pos: Position, pset) -> Position:
     """Least legal move into the P-set when one exists, else a stalling move.
 
@@ -250,8 +233,9 @@ def play_session(
         except ValueError as exc:
             print_fn(f"could not read that move: {exc}")
             continue
-        if not _removal_ok(rules, pos.x, pos.y, k, l):
-            print_fn(f"illegal move: {_explain_illegal(rules, pos, k, l)}")
+        reason = _refusal(rules, pos.x, pos.y, k, l)
+        if reason is not None:
+            print_fn(f"illegal move: {reason}")
             continue
         pos = canonical(pos.x - k, pos.y - l)
         if pos == (0, 0):

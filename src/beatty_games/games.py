@@ -1,6 +1,6 @@
 """Position model, constraint functions, and move legality for the game families.
 
-Both families share one move rule, `_removal_ok`: from x0 <= y0, take k from
+Both families share one move rule, `_refusal`: from x0 <= y0, take k from
 the smaller pile and l from the larger, at least one token and neither pile
 below zero.  Taking from one pile only is always a move (Nim).  Taking from
 both must satisfy |l - k| < f in the modified two-pile game and l - k < f in
@@ -8,7 +8,7 @@ relaxed Wythoff, so removing more from the smaller pile is always allowed
 there.  f is evaluated on the physical (uncanonicalized) destination
 (x0 - k, y0 - l) and x0; only afterwards is the destination sorted back to
 canonical order.  `legal_moves`, `is_legal_move` and the CLI's `play` all ask
-this rule.
+this rule, and `play` prints the reason it gives for refusing a move.
 BeattyDelta and TargetBeatty build their per-x0 tables by one rule, `_BeattyRows`.
 """
 
@@ -271,21 +271,30 @@ class RuleSet:
         return f"{name} game, constraint {self.constraint.kind}({self.constraint.params()})"
 
 
-def _removal_ok(rules: RuleSet, x0: int, y0: int, k: int, l: int) -> bool:
-    """The move rule: may k leave the smaller pile x0 and l the larger pile y0?
+def _refusal(rules: RuleSet, x0: int, y0: int, k: int, l: int) -> Optional[str]:
+    """The move rule: None if k may leave the smaller pile x0 and l the larger pile y0, else why not.
 
     At least one token must leave and neither pile may go negative.  A removal
     from both piles must also satisfy the family's bound on
-    f(x0 - k, y0 - l, x0); an undefined f (None) forbids it.
+    f(x0 - k, y0 - l, x0); an undefined f (None) forbids it.  The reason is
+    the text `play` prints after "illegal move: ".
     """
-    if not (0 <= k <= x0 and 0 <= l <= y0) or k == l == 0:
-        return False
+    if k == l == 0:
+        return "must remove at least one token"
+    if not (0 <= k <= x0 and 0 <= l <= y0):
+        return f"cannot remove {k} from pile A({x0}) / {l} from pile B({y0})"
     if k == 0 or l == 0:  # Nim: one pile only
-        return True
-    bound = rules.constraint.value(x0 - k, y0 - l, x0)
+        return None
+    d1, d2 = x0 - k, y0 - l
+    bound = rules.constraint.value(d1, d2, x0)
     if bound is None:
-        return False
-    return (abs(l - k) if rules.family is Family.MODIFIED else l - k) < bound
+        return f"diagonal from pile A = {x0} is disallowed (constraint undefined)"
+    modified = rules.family is Family.MODIFIED
+    diff = abs(l - k) if modified else l - k
+    if diff < bound:
+        return None
+    bar = "|" if modified else ""
+    return f"{bar}({y0}-{d2})-({x0}-{d1}){bar} = {diff} >= f({d1},{d2},{x0}) = {bound}"
 
 
 def legal_moves(rules: RuleSet, origin: Position) -> Set[Position]:
@@ -297,18 +306,18 @@ def legal_moves(rules: RuleSet, origin: Position) -> Set[Position]:
         canonical(x0 - k, y0 - l)
         for k in range(x0 + 1)
         for l in range(y0 + 1)
-        if _removal_ok(rules, x0, y0, k, l)
+        if _refusal(rules, x0, y0, k, l) is None
     }
 
 
 def is_legal_move(rules: RuleSet, origin: Position, dest: Position) -> bool:
-    """Membership form of legal_moves: `_removal_ok` on either pile assignment of dest."""
+    """Membership form of legal_moves: `_refusal` on either pile assignment of dest."""
     x0, y0 = origin
     if canonical(x0, y0) != origin:  # canonical raises on a negative pile
         raise ValueError("origin must be canonical (x <= y)")
     dx, dy = dest
     return dx <= dy and (
-        _removal_ok(rules, x0, y0, x0 - dx, y0 - dy) or _removal_ok(rules, x0, y0, x0 - dy, y0 - dx)
+        _refusal(rules, x0, y0, x0 - dx, y0 - dy) is None or _refusal(rules, x0, y0, x0 - dy, y0 - dx) is None
     )
 
 

@@ -789,6 +789,10 @@ class TestPlay:
              "illegal move: diagonal from pile A = 4 is disallowed (constraint undefined)"),
             (["--constant", "1"], "take 1 from pile A, 2 from pile A",
              "could not read that move: each pile may appear once"),
+            (["--constant", "1"], "take 0 from pile A",
+             "illegal move: must remove at least one token"),
+            (["--constant", "1"], "take 9 from pile A",
+             "illegal move: cannot remove 9 from pile A(4) / 0 from pile B(6)"),
         ]:
             code, out = play(monkeypatch, capsys, argv + ["--start", "4", "6"], [line, "quit"])
             assert code == EXIT_OK

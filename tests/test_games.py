@@ -291,6 +291,47 @@ class TestIsLegalMove:
                         )
 
 
+def removal_ok(rules, x0, y0, k, l):
+    """The move rule as a plain yes/no, written apart from `games._refusal`."""
+    if not (0 <= k <= x0 and 0 <= l <= y0) or k == l == 0:
+        return False
+    if k == 0 or l == 0:
+        return True
+    bound = rules.constraint.value(x0 - k, y0 - l, x0)
+    if bound is None:
+        return False
+    return (abs(l - k) if rules.family is Family.MODIFIED else l - k) < bound
+
+
+class TestRefusal:
+    def test_refuses_exactly_what_the_rule_forbids(self):
+        rng = random.Random(20261022)
+        tables = []
+        for _ in range(3):  # misses, stored None, 0 and negative bounds
+            cells = [(x1, y1, x0) for x0 in range(11) for x1 in range(x0 + 1) for y1 in range(11)]
+            tables.append(ExplicitTable({
+                key: rng.choice([None, -2, -1, 0, 1, 2, 3, 7]) for key in cells if rng.random() < 0.8
+            }))
+        slopes = [A55, A19, PHI, QuadraticNumber(0, 1, 1, 2)]
+        specs = [Constant(1), Constant(2), Constant(3), ParityHalf(), *tables]
+        specs += [kind(alpha) for kind in (BeattyDelta, TargetBeatty) for alpha in slopes]
+        refused = 0
+        for spec in specs:
+            for family in Family:
+                rules = RuleSet(family, spec)
+                for y0 in range(11):
+                    for x0 in range(y0 + 1):
+                        for k in range(-1, x0 + 2):
+                            for l in range(-1, y0 + 2):
+                                reason = games._refusal(rules, x0, y0, k, l)
+                                assert (reason is None) == removal_ok(rules, x0, y0, k, l), (
+                                    rules, x0, y0, k, l, reason)
+                                if reason is not None:
+                                    assert isinstance(reason, str) and reason, (rules, x0, y0, k, l)
+                                    refused += 1
+        assert refused > 0
+
+
 class TestSerialization:
     def test_all_kinds_round_trip(self):
         specs = [

@@ -3,7 +3,7 @@ scanned for imports from outside the standard library, for floats and for
 configuration read from the environment.  It is also scanned for imports it
 no longer reads, the package must export exactly the names its __init__
 imports, and each exported name must be read somewhere in the package or the
-benchmark."""
+benchmark.  The CLI evaluates no constraint: the move rule lives in `games`."""
 
 import ast
 import sys
@@ -149,6 +149,31 @@ def test_every_exported_name_is_read_by_a_program():
     files += list((ROOT / "perfbench").glob("*.py"))
     read = set().union(*(names_read(f.read_text()) for f in files))
     assert sorted(set(beatty_games.__all__) - read) == []
+
+
+def attribute_calls(source: str, attr: str):
+    """Lines where the source calls an attribute named attr, as in `x.attr(...)`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr
+    ]
+
+
+def test_cli_evaluates_no_constraint():
+    # The move rule and its reasons for refusing a move live in games._refusal;
+    # play prints them and reads no constraint value itself.
+    assert attribute_calls((PACKAGE / "cli.py").read_text(), "value") == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("bound = rules.constraint.value(1, 2, 3)", [1]),
+    ("x = 1\nprint(spec.value(0, 0, x))", [2]),
+    ("name = rules.family.value", []),
+    ("value(1, 2, 3)", []),
+])
+def test_attribute_call_scanner(source, lines):
+    assert attribute_calls(source, "value") == lines
 
 
 @pytest.mark.parametrize("source, unused", [
